@@ -485,56 +485,3 @@ def test_tcp_stream_throughput(benchmark):
     transferred = benchmark(run)
     assert transferred == len(blob)
 
-
-def _sharded_flood(shards, flow):
-    """One end-to-end flood run through the sharded engine: the
-    serialized bytes (for the parity assert), the coordinator's sync
-    stats, and the wall-clock of this single run."""
-    import json
-    import time
-
-    from repro.core.config import SimulationConfig
-    from repro.netsim.shard import run_sharded
-    from repro.serialization import result_to_json
-
-    config = SimulationConfig(n_devs=4, seed=3, flood_flow=flow,
-                              attack_duration=30.0, sim_duration=200.0)
-    start = time.perf_counter()
-    run = run_sharded(config, shards)
-    wall = time.perf_counter() - start
-    metrics = json.dumps(run.ddosim.obs.metrics.snapshot(), sort_keys=True)
-    return (result_to_json(run.result), metrics), run.stats, wall
-
-
-#: single-process reference (bytes, wall) per flow mode, computed once
-_SHARD_SINGLE = {}
-
-
-@pytest.mark.parametrize("flow", ["off", "auto"])
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_sharded_flood(benchmark, shards, flow):
-    """The flood scenario partitioned across conservative-window worker
-    processes.  Byte-identity to the single-process run is the asserted
-    contract; speed is *recorded*, never asserted — window-parallel
-    speedup only materializes with real cores (``host_cpus`` in
-    extra_info says how many this baseline had), so extra_info carries
-    the honest wall ratio plus the sync-round / hand-off counts that
-    bound the achievable overlap."""
-    import os
-
-    if flow not in _SHARD_SINGLE:
-        single_bytes, _, single_wall = _sharded_flood(1, flow)
-        _SHARD_SINGLE[flow] = (single_bytes, single_wall)
-    single_bytes, single_wall = _SHARD_SINGLE[flow]
-
-    run_bytes, stats, wall = benchmark(lambda: _sharded_flood(shards, flow))
-    assert run_bytes == single_bytes
-
-    benchmark.extra_info["shards"] = shards
-    benchmark.extra_info["workers"] = stats["workers"]
-    benchmark.extra_info["sync_rounds"] = stats["sync_rounds"]
-    benchmark.extra_info["handoffs"] = (stats.get("handoffs_up", 0)
-                                        + stats.get("handoffs_down", 0))
-    benchmark.extra_info["host_cpus"] = os.cpu_count()
-    benchmark.extra_info["wall_speedup_vs_single"] = round(
-        single_wall / wall, 3)

@@ -387,11 +387,6 @@ def resume_run(source: str, *, observatory=None,
     anchor — so a replay that drifts fails loudly (and names the
     subsystem) instead of silently producing different bytes.  Later
     barriers keep writing fresh checkpoints, making resume restartable.
-
-    Checkpoints written by the sharded engine carry a ``shards`` count;
-    their rank-prefixed fingerprint trees only compose identically under
-    the same partitioning, so the resume replays through
-    :func:`repro.netsim.shard.run_sharded` at that shard count.
     """
     path = latest_checkpoint(source)
     anchor = load_checkpoint(path)
@@ -413,19 +408,6 @@ def resume_run(source: str, *, observatory=None,
             continue
         stored = load_checkpoint(checkpoint_file)
         expected[tick] = stored["fingerprint"]
-    shards = anchor.get("shards", 1)
-    if shards > 1:
-        from repro.netsim.shard import run_sharded
-
-        sharded = run_sharded(
-            config, shards, observatory=observatory,
-            checkpoint_dir=directory, checkpoint_every=anchor["every"],
-            kill_after=kill_after, expected_fingerprints=expected,
-        )
-        return ResumedRun(
-            ddosim=sharded.ddosim, result=sharded.result,
-            writer=sharded.writer, checkpoint=anchor,
-        )
     ddosim = DDoSim(config, observatory=observatory)
     writer = CheckpointWriter(
         directory, anchor["every"], expected=expected, kill_after=kill_after

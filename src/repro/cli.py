@@ -19,11 +19,10 @@ Commands:
 * ``chaos``       — crash-recovery proof: run a scenario straight, then
   SIGKILL an identical run right after a seeded checkpoint, resume it,
   and require byte-identical results.
-* ``lint``        — determinism linter (``repro.simlint``): SIM1xx file
-  rules plus the SIM2xx whole-program shard-safety rules; nonzero exit
-  on violations (the CI gate).  ``--fix`` applies mechanical rewrites,
-  ``--diff BASE`` lints only changed files, ``--baseline FILE``
-  subtracts recorded findings.
+* ``lint``        — determinism linter (``repro.simlint``): SIM1xx rules
+  over sim code; nonzero exit on violations (the CI gate).  ``--fix``
+  applies mechanical rewrites, ``--diff BASE`` lints only changed
+  files, ``--baseline FILE`` subtracts recorded findings.
 * ``verify-determinism`` — execute the determinism contract: one config
   twice (first diverging trace event on mismatch) and a figure2 sweep
   at ``--jobs 1`` vs ``--jobs N`` (rows must be byte-identical).
@@ -52,6 +51,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.core.config import SimulationConfig
@@ -91,12 +91,21 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--faults",
                         help="JSON fault plan to arm against the run "
                              "(see repro.faults.FaultPlan)")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="partition this ONE run across N processes "
-                             "(repro.netsim.shard); results are byte-"
-                             "identical to --shards 1")
 
 
+@contextmanager
+def _config_errors():
+    """Report a ValueError raised while building a run's configuration
+    as one ``error: <message>`` line on stderr and exit status 2, the
+    way argparse reports a bad flag."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+@_config_errors()
 def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
@@ -260,55 +269,21 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
         else:
             config = _config_from_args(args)
-            shards = getattr(args, "shards", 1) or 1
-            if shards > 1:
-                from repro.checkpoint import DEFAULT_CHECKPOINT_DIR
-                from repro.netsim.shard import run_sharded
+            ddosim = DDoSim(config, observatory=observatory)
+            if checkpoint_every:
+                from repro.checkpoint import (
+                    DEFAULT_CHECKPOINT_DIR,
+                    CheckpointWriter,
+                )
 
-                if trace_out:
-                    print(
-                        "error: --shards cannot be combined with "
-                        "--trace-out (the tracer is per-process; run "
-                        "--shards 1 for traces — results are identical)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                sharded = run_sharded(
-                    config, shards,
-                    observatory=observatory,
-                    checkpoint_dir=(
-                        (getattr(args, "checkpoint_dir", None)
-                         or DEFAULT_CHECKPOINT_DIR)
-                        if checkpoint_every else None
-                    ),
-                    checkpoint_every=checkpoint_every,
+                writer = CheckpointWriter(
+                    getattr(args, "checkpoint_dir", None)
+                    or DEFAULT_CHECKPOINT_DIR,
+                    checkpoint_every,
                     kill_after=getattr(args, "kill_after_checkpoint", None),
                 )
-                ddosim, result = sharded.ddosim, sharded.result
-                stats = sharded.stats
-                print(
-                    f"sharded: {stats['workers']} worker(s), "
-                    f"{stats['sync_rounds']} sync rounds, "
-                    f"{stats['handoffs_up'] + stats['handoffs_down']} "
-                    f"cross-shard hand-offs",
-                    file=sys.stderr,
-                )
-            else:
-                ddosim = DDoSim(config, observatory=observatory)
-                if checkpoint_every:
-                    from repro.checkpoint import (
-                        DEFAULT_CHECKPOINT_DIR,
-                        CheckpointWriter,
-                    )
-
-                    writer = CheckpointWriter(
-                        getattr(args, "checkpoint_dir", None)
-                        or DEFAULT_CHECKPOINT_DIR,
-                        checkpoint_every,
-                        kill_after=getattr(args, "kill_after_checkpoint", None),
-                    )
-                    writer.arm(ddosim)
-                result = ddosim.run()
+                writer.arm(ddosim)
+            result = ddosim.run()
     except KeyboardInterrupt:
         if ddosim is not None:
             _dump_interrupt(ddosim)
@@ -420,7 +395,8 @@ def cmd_figure2(args: argparse.Namespace) -> int:
 
     devs_grid = tuple(args.grid) if args.grid else (10, 50, 100, 150)
     flow = getattr(args, "flow", "off")
-    base = SimulationConfig(flood_flow=flow) if flow != "off" else None
+    with _config_errors():
+        base = SimulationConfig(flood_flow=flow) if flow != "off" else None
     rows = run_figure2(devs_grid=devs_grid, churn_modes=FIGURE2_CHURN,
                        seed=args.seed, base_config=base, jobs=args.jobs,
                        cache=_cache_from_args(args),
@@ -435,8 +411,9 @@ def cmd_figure3(args: argparse.Namespace) -> int:
     from repro.core.experiment import run_figure3
 
     devs_grid = tuple(args.grid) if args.grid else (50, 100)
-    base = SimulationConfig(n_devs=1, attack_payload_size=1400,
-                            flood_flow=getattr(args, "flow", "off"))
+    with _config_errors():
+        base = SimulationConfig(n_devs=1, attack_payload_size=1400,
+                                flood_flow=getattr(args, "flow", "off"))
     rows = run_figure3(devs_grid=devs_grid, seed=args.seed, base_config=base,
                        jobs=args.jobs, cache=_cache_from_args(args),
                        telemetry=_telemetry_from_args(args, "figure3"),
@@ -476,7 +453,8 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
     from repro.core.experiment import run_fault_sweep
     from repro.faults import load_fault_plan
 
-    plan = load_fault_plan(args.plan)
+    with _config_errors():
+        plan = load_fault_plan(args.plan)
     grid = tuple(args.grid) if args.grid else None
     kwargs = {"n_devs": args.devs, "seed": args.seed, "jobs": args.jobs,
               "cache": _cache_from_args(args),
@@ -537,10 +515,6 @@ def _chaos_run_flags(args: argparse.Namespace) -> List[str]:
     ]
     if getattr(args, "faults", None):
         flags += ["--faults", args.faults]
-    if getattr(args, "shards", 1) and args.shards > 1:
-        # The resume leg needs no flag: resume_run reads the shard count
-        # out of the checkpoint payload and replays at that partitioning.
-        flags += ["--shards", str(args.shards)]
     return flags
 
 
@@ -712,7 +686,6 @@ def cmd_verify_determinism(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         flow=args.flow,
         resume=args.resume,
-        shards=getattr(args, "shards", 0) or 0,
     )
     if args.format == "json":
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -907,8 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = commands.add_parser(
         "lint",
-        help="determinism + shard-safety linter (SIM1xx/SIM2xx; "
-             "repro.simlint)",
+        help="determinism linter (SIM1xx rules; repro.simlint)",
     )
     lint_parser.add_argument("paths", nargs="*", default=["src/repro"],
                              help="files/directories to lint "
@@ -955,11 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "equivalence: checkpoint a run, "
                                     "resume it, compare result + metrics "
                                     "byte-for-byte")
-    verify_parser.add_argument("--shards", type=int, default=0, metavar="N",
-                               help="also prove sharded-engine parity: "
-                                    "one run partitioned across N worker "
-                                    "processes must produce byte-"
-                                    "identical result + metrics")
     verify_parser.add_argument("--format", choices=("text", "json"),
                                default="text")
     verify_parser.set_defaults(func=cmd_verify_determinism)

@@ -54,10 +54,6 @@ class Container:
         self._next_pid = 1
         self.logs: List[str] = []
         self.started_at: Optional[float] = None
-        #: sharded-engine merge hook: the coordinator patches replica
-        #: containers with the owning shard's reported RSS so post-merge
-        #: accounting matches a single-process run byte-for-byte.
-        self._memory_override: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -149,8 +145,6 @@ class Container:
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         """Container RSS: image base + filesystem + per-process RSS."""
-        if self._memory_override is not None:
-            return self._memory_override
         if self.state != RUNNING:
             return 0
         process_rss = sum(process.rss_bytes for process in self.live_processes())

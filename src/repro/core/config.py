@@ -36,6 +36,9 @@ DEFAULT_PROTECTION_PROFILES: Tuple[Tuple[str, ...], ...] = (
     ("wx", "aslr"),
 )
 
+#: largest UDP payload one IPv4 datagram can carry (65535 - 20 - 8)
+MAX_UDP_PAYLOAD = 65507
+
 
 @dataclass
 class SimulationConfig:
@@ -142,6 +145,11 @@ class SimulationConfig:
             raise ValueError(f"bad dev_rate_kbps range {self.dev_rate_kbps}")
         if self.attack_duration <= 0:
             raise ValueError("attack_duration must be positive")
+        if not 1 <= self.attack_payload_size <= MAX_UDP_PAYLOAD:
+            raise ValueError(
+                f"attack_payload_size must be 1-{MAX_UDP_PAYLOAD} bytes "
+                f"(the IPv4 UDP maximum), got {self.attack_payload_size}"
+            )
         if len(self.churn_phi) != 3:
             raise ValueError("churn_phi needs exactly three coefficients")
         if not all(0.0 <= phi <= 1.0 for phi in self.churn_phi):

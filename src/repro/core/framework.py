@@ -134,12 +134,6 @@ class DDoSim:
         self._attack_issued_at: Optional[float] = None
         self._online_at_recruit_start = config.n_devs
         self._built = False
-        #: sharded engine (repro.netsim.shard): the coordinator installs
-        #: an object with ``announce_probe(t)`` / ``announce_stop(t)`` so
-        #: the orchestrator's future-dated decisions (the pre-attack
-        #: memory read, the end-of-run stop) are broadcast to the worker
-        #: ranks ahead of time.  None on the single-process path.
-        self.shard_hooks = None
 
         self._register_gauges()
 
@@ -267,12 +261,6 @@ class DDoSim:
         winner = yield AnyOf(self.sim, [ready, deadline])
         if winner is not deadline:
             deadline.cancel()
-        hooks = self.shard_hooks
-        if hooks is not None:
-            # The pre-attack memory read happens exactly one settle delay
-            # from now (both branches below); announce it so worker ranks
-            # can schedule their local probe at the same instant.
-            hooks.announce_probe(self.sim.now + config.attack_settle_delay)
         if config.attack_settle_delay > 0:
             yield Timeout(self.sim, config.attack_settle_delay)
         if self.attacker.cnc.bot_count() == 0:
@@ -280,10 +268,6 @@ class DDoSim:
             # attack window so metrics windows stay well-defined.
             self._pre_attack_container_bytes = self.runtime.total_memory_bytes()
             self._attack_issued_at = self.sim.now
-            if hooks is not None:
-                hooks.announce_stop(
-                    self.sim.now + config.attack_duration + config.cooldown
-                )
             yield Timeout(self.sim, config.attack_duration + config.cooldown)
             self.sim.stop()
             return
@@ -297,10 +281,6 @@ class DDoSim:
             flow=config.flood_flow,
         )
         self._attack_issued_at = order.issued_at
-        if hooks is not None:
-            hooks.announce_stop(
-                self.sim.now + config.attack_duration + config.cooldown
-            )
         yield Timeout(self.sim, config.attack_duration + config.cooldown)
         if self.dynamic_churn is not None:
             self.dynamic_churn.stop()

@@ -356,117 +356,9 @@ class Simulator:
             else:
                 callback(*args)
 
-    def advance_until(self, bound: float, inclusive: bool = False) -> int:
-        """Execute pending events up to a virtual-time ``bound`` and return.
-
-        The conservative sharded engine (:mod:`repro.netsim.shard`) drives
-        each shard's simulator in externally-granted time windows; this is
-        the window-execution primitive.  It differs from :meth:`run` in
-        three deliberate ways:
-
-        * **Boundary**: events strictly before ``bound`` fire; an event at
-          exactly ``bound`` fires only when ``inclusive`` is true.  (The
-          window protocol uses exclusive bounds so an event *at* the next
-          synchronisation horizon waits for cross-shard traffic that may
-          arrive at that same instant; the final window is inclusive to
-          match :meth:`run`'s ``until`` semantics.)
-        * **Clock**: the clock is *not* advanced to ``bound`` when the
-          queue runs dry early — ``now`` stays at the last executed event
-          so lookahead horizons reflect real local progress.
-        * **Re-entrancy**: callable repeatedly; ``stop()`` state persists
-          across calls (a stopped simulator executes nothing).
-
-        Returns the number of events executed by this call.
-        """
-        if self._running:
-            raise SimulationError("simulator is already running")
-        self._running = True
-        try:
-            if self._heap is not None and not self.obs.instrumented:
-                return self._advance_heap(bound, inclusive)
-            return self._advance_generic(bound, inclusive)
-        except Exception:
-            recorder = getattr(self.obs, "recorder", None)
-            if recorder is not None and recorder.enabled:
-                recorder.dump("sim.exception", self._now)
-            raise
-        finally:
-            self._running = False
-
-    def _advance_heap(self, bound: float, inclusive: bool) -> int:
-        """Window loop for the default binary-heap scheduler."""
-        heap = self._heap
-        free = self._free
-        strict = not inclusive
-        executed = 0
-        while heap and not self._stopped:
-            event = heap[0]
-            t = event.time
-            if t > bound or (strict and t == bound):
-                break
-            heappop(heap)
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = t
-            self._live -= 1
-            self.events_executed += 1
-            executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None
-                free.append(event)
-            else:
-                event._sim = None
-            callback(*args)
-        return executed
-
-    def _advance_generic(self, bound: float, inclusive: bool) -> int:
-        """Scheduler-agnostic window loop (peek, then inclusive pop at the
-        peeked time — ``pop_next(limit)`` alone cannot express an
-        exclusive bound)."""
-        sched = self._sched
-        free = self._free
-        strict = not inclusive
-        executed = 0
-        while not self._stopped:
-            self._tombstones -= sched.drop_cancelled_head()
-            head = sched.peek()
-            if head is None:
-                break
-            t = head.time
-            if t > bound or (strict and t == bound):
-                break
-            event = sched.pop_next(t)
-            if event is None:  # pragma: no cover - peek guarantees one
-                break
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = event.time
-            self._live -= 1
-            self.events_executed += 1
-            executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None
-                free.append(event)
-            else:
-                event._sim = None
-            callback(*args)
-        return executed
-
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
         self._stopped = True
-
-    def peek_next_time(self) -> Optional[float]:
-        """Virtual time of the next pending (non-cancelled) event, if any."""
-        self._tombstones -= self._sched.drop_cancelled_head()
-        event = self._sched.peek()
-        return event.time if event is not None else None
 
     @property
     def pending_events(self) -> int:

@@ -1,24 +1,17 @@
 """repro.simlint: the determinism contract, enforced.
 
-Static half — an AST linter with stable ``SIM1xx`` file rules over the
+Static half — an AST linter with stable ``SIM1xx`` rules over the
 habits that break (config, seed) -> bytes reproducibility (wall-clock
 reads, module-global RNG draws, set iteration into ordered sinks,
 mutable defaults, float time equality, ``id()`` sort keys, scheduled
-closures capturing loop variables, unused imports) plus the ``SIM2xx``
-whole-program shard-safety rules: a project symbol table and call
-graph (:mod:`repro.simlint.symbols`), a forward dataflow/taint
-framework (:mod:`repro.simlint.dataflow`), and ownership, cross-rank
-race, counter-conservation, RNG-stream, and neutral-event checks
-(:mod:`repro.simlint.shardcheck`) against the machine-readable
-``SHARD_CONTRACT`` declared by :mod:`repro.netsim.shard`.  ``repro
-lint --fix`` applies the mechanical rewrites (:mod:`repro.simlint.fix`);
+closures capturing loop variables, unused imports).  ``repro lint
+--fix`` applies the mechanical rewrites (:mod:`repro.simlint.fix`);
 ``--diff`` and ``--baseline`` keep the gate incremental.
 
-Dynamic half — runtime sanitizers (scheduler tie-break audit, named
-RNG-stream accounting, and the shard-access auditor that watches a
-real partitioned run for contract violations) and a double-run harness
-that executes a config twice and across ``--jobs`` and localizes the
-first diverging ``repro.obs`` trace event.
+Dynamic half — a runtime sanitizer (scheduler tie-break audit, named
+RNG-stream accounting) and a double-run harness that executes a config
+twice and across ``--jobs`` and localizes the first diverging
+``repro.obs`` trace event.
 
 CLI: ``repro lint`` and ``repro verify-determinism`` (both CI gates).
 """
@@ -28,7 +21,6 @@ from repro.simlint.engine import (
     changed_python_files,
     in_clock_allowlist,
     lint_paths,
-    lint_project_sources,
     lint_source,
 )
 from repro.simlint.fix import FIXABLE_CODES, fix_paths, fix_source
@@ -44,7 +36,6 @@ from repro.simlint.reporting import (
 )
 from repro.simlint.rules import (
     REGISTRY,
-    ProjectContext,
     Rule,
     Violation,
     all_codes,
@@ -53,7 +44,6 @@ from repro.simlint.rules import (
 )
 from repro.simlint.runtime import (
     RngStreamGuard,
-    ShardAccessAuditor,
     TieBreakAuditor,
     audit_run,
 )
@@ -67,12 +57,10 @@ from repro.simlint.verify import (
     verify_determinism,
     verify_double_run,
     verify_jobs,
-    verify_shard_lint,
 )
 
 __all__ = [
     "REGISTRY",
-    "ProjectContext",
     "Rule",
     "Violation",
     "all_codes",
@@ -81,7 +69,6 @@ __all__ = [
     "changed_python_files",
     "in_clock_allowlist",
     "lint_paths",
-    "lint_project_sources",
     "lint_source",
     "run_checks",
     "FIXABLE_CODES",
@@ -96,7 +83,6 @@ __all__ = [
     "violations_from_json",
     "write_baseline",
     "RngStreamGuard",
-    "ShardAccessAuditor",
     "TieBreakAuditor",
     "audit_run",
     "CheckResult",
@@ -108,5 +94,4 @@ __all__ = [
     "verify_determinism",
     "verify_double_run",
     "verify_jobs",
-    "verify_shard_lint",
 ]

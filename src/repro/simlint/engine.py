@@ -5,14 +5,6 @@ The engine is what ``repro lint`` (and the CI gate) calls::
     violations = lint_paths(["src/repro"])
     sys.exit(1 if violations else 0)
 
-Two passes share one file walk:
-
-* the **file pass** runs every ``scope="file"`` rule (SIM1xx) over each
-  module independently;
-* the **project pass** builds one :class:`ProjectIndex` over the same
-  sources and runs the ``scope="project"`` shard-safety rules (SIM2xx),
-  which need the cross-module call graph and the shard contract.
-
 Escape hatches keep the gate honest rather than noisy:
 
 * the **clock allowlist** — files under an ``obs``/``benchmarks``
@@ -20,8 +12,7 @@ Escape hatches keep the gate honest rather than noisy:
   measuring wall time is their job; SIM101 is informational there.
 * **suppression comments** (``# simlint: disable=SIM101``) — for the
   handful of intentional violations elsewhere.  Suppressions are part
-  of the diff, so every exception is reviewed like any other code;
-  they apply to project-scope findings exactly as to file-scope ones.
+  of the diff, so every exception is reviewed like any other code.
 * **baselines** (``--baseline findings.json``) — a versioned-JSON
   snapshot of pre-existing findings so a new rule can land strict
   without a big-bang cleanup; see :mod:`repro.simlint.reporting`.
@@ -34,21 +25,17 @@ from __future__ import annotations
 import ast
 import os
 import subprocess
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 # importing the check modules fills the rule registry
 import repro.simlint.checks  # noqa: F401  # simlint: disable=SIM108
-import repro.simlint.shardcheck as shardcheck
 from repro.simlint.rules import (
-    REGISTRY,
     CheckContext,
-    ProjectContext,
     Violation,
     all_codes,
     filter_codes,
     parse_suppressions,
 )
-from repro.simlint.symbols import ProjectIndex, module_name_for
 
 #: path components whose files measure wall time on purpose
 CLOCK_ALLOWLIST_DIRS = ("obs", "benchmarks")
@@ -68,8 +55,7 @@ def lint_source(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> List[Violation]:
-    """Lint one module's source text (file-scope rules only); returns
-    unsuppressed violations."""
+    """Lint one module's source text; returns unsuppressed violations."""
     codes = filter_codes(all_codes(), select=select, ignore=ignore)
     try:
         tree = ast.parse(source, filename=path)
@@ -108,74 +94,19 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
     return out
 
 
-def project_scope_codes(
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-) -> List[str]:
-    """The enabled ``scope="project"`` rule codes."""
-    codes = filter_codes(all_codes(), select=select, ignore=ignore)
-    return [code for code in codes if REGISTRY[code].scope == "project"]
-
-
-def lint_project_sources(
-    sources: Dict[str, object],
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    contract: Optional[dict] = None,
-) -> List[Violation]:
-    """Run the project-scope rules over in-memory modules.
-
-    ``sources`` maps module name to ``source`` or ``(path, source)``
-    (the :meth:`ProjectIndex.from_sources` shapes).  ``contract``
-    overrides the ``SHARD_CONTRACT`` literal discovery — the hook the
-    mutation-style analyzer tests use to seed violations into a clean
-    tree.
-    """
-    codes = project_scope_codes(select=select, ignore=ignore)
-    if not codes:
-        return []
-    index = ProjectIndex.from_sources(sources)
-    ctx = ProjectContext(index, contract_override=contract)
-    shardcheck.run_project_checks(ctx, codes)
-    suppressions = {
-        module.path: parse_suppressions(module.source)
-        for module in index.modules.values()
-    }
-    kept = [
-        violation for violation in ctx.violations
-        if violation.path not in suppressions
-        or not suppressions[violation.path].suppressed(
-            violation.line, violation.code)
-    ]
-    kept.sort(key=lambda violation:
-              (violation.path, violation.line, violation.col, violation.code))
-    return kept
-
-
 def lint_paths(
     paths: Iterable[str],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    contract: Optional[dict] = None,
 ) -> List[Violation]:
-    """Lint every ``.py`` file under ``paths``: the per-file pass plus
-    the whole-program pass, in one deterministic ordering."""
+    """Lint every ``.py`` file under ``paths`` (deterministic order)."""
     violations: List[Violation] = []
-    sources: Dict[str, object] = {}
     for filename in iter_python_files(paths):
         with open(filename, encoding="utf-8") as handle:
             source = handle.read()
-        sources[module_name_for(filename)] = (filename, source)
         violations.extend(
             lint_source(source, path=filename, select=select, ignore=ignore)
         )
-    violations.extend(
-        lint_project_sources(sources, select=select, ignore=ignore,
-                             contract=contract)
-    )
-    violations.sort(key=lambda violation:
-                    (violation.path, violation.line, violation.col,
-                     violation.code))
     return violations
 
 

@@ -21,8 +21,8 @@ from typing import Dict, List
 from repro.simlint.rules import REGISTRY, Violation
 
 #: bump when the JSON document shape changes.
-#: 2: rule entries grew ``scope`` (file vs project) with the SIM2xx
-#: shard-safety family; version-1 documents no longer load.
+#: 2: rule entries carry ``scope``; version-1 documents no longer load.
+#: Every rule is file-scope, so ``scope`` is always ``"file"``.
 SCHEMA_VERSION = 2
 
 
@@ -55,7 +55,7 @@ def to_json_document(violations: List[Violation]) -> dict:
         "tool": "repro.simlint",
         "rules": {
             code: {"name": rule.name, "summary": rule.summary,
-                   "scope": rule.scope}
+                   "scope": "file"}
             for code, rule in sorted(REGISTRY.items())
         },
         "counts": _tally(violations),

@@ -226,164 +226,6 @@ class RngStreamGuard:
         }
 
 
-class _AuditedMutedCounter:
-    """What a worker-rank registry hands out for a muted counter family
-    when the shard access audit is on: still a no-op counter (the
-    parent's replica is the counting one), but every increment whose
-    call stack contains NO declared replicated site is recorded as a
-    counter-conservation violation — the runtime twin of SIM203."""
-
-    __slots__ = ("_auditor", "_family")
-
-    def __init__(self, auditor: "ShardAccessAuditor", family: str):
-        self._auditor = auditor
-        self._family = family
-
-    def labels(self, *values):
-        return self
-
-    def inc(self, amount=1) -> None:
-        self._auditor._check_muted(self._family)
-
-    # a muted family may be registered under any instrument kind
-    def dec(self, amount=1) -> None:
-        self._auditor._check_muted(self._family)
-
-    def set(self, value) -> None:
-        self._auditor._check_muted(self._family)
-
-    def observe(self, value) -> None:
-        self._auditor._check_muted(self._family)
-
-
-class ShardAccessAuditor:
-    """Runtime shard-ownership sanitizer (dynamic twin of SIM201/SIM203).
-
-    Installed on worker ranks of a sharded run (``run_sharded(...,
-    audit=True)``).  Two mechanisms, both driven by the same
-    ``SHARD_CONTRACT`` literal the static analyzer reads:
-
-    * :meth:`guard` tags a rank-0-owned object by swapping in a
-      generated subclass whose ``__setattr__`` records the touch — the
-      first illegal cross-rank write is captured with its call site
-      (the object keeps working; the report is the product).
-    * :meth:`muted_instrument` wraps the worker-muted counter families:
-      an increment with no declared replicated site anywhere on the
-      stack exists only on this rank and would vanish from the merged
-      snapshot, so it is recorded with the offending call site.
-
-    When the audit is off nothing is installed anywhere — disabled runs
-    execute the exact same code as before the auditor existed.
-    """
-
-    name = "shard-access-audit"
-
-    def __init__(self, rank: int, contract: Optional[dict] = None) -> None:
-        if contract is None:
-            from repro.netsim.shard import SHARD_CONTRACT as contract
-        self.rank = rank
-        self.violations: List[dict] = []
-        self._guarded: List[tuple] = []
-        #: path suffixes of the modules whose code is replicated on
-        #: every rank ("repro.core.churn:DynamicChurn" -> "core/churn.py").
-        #: The shard module itself is excluded: the worker serve loop
-        #: sits at the bottom of every stack on this rank, so matching
-        #: it would declare everything replicated.
-        self._replicated_paths = tuple(sorted({
-            pattern.split(":", 1)[0].replace(".", "/") + ".py"
-            for pattern in contract.get("replicated_sites", ())
-            if not pattern.split(":", 1)[0].endswith(".shard")
-        }))
-
-    # -- recording -----------------------------------------------------
-    def _site(self) -> str:
-        """First stack frame outside this module (the offender)."""
-        depth = 2
-        while True:
-            try:
-                frame = sys._getframe(depth)
-            except ValueError:  # pragma: no cover - stack exhausted
-                return "<unknown>"
-            if frame.f_code.co_filename != __file__:
-                return f"{frame.f_code.co_filename}:{frame.f_lineno}"
-            depth += 1
-
-    def _record(self, kind: str, target: str, detail: str) -> None:
-        if len(self.violations) < _SAMPLE_CAP:
-            self.violations.append({
-                "rank": self.rank,
-                "kind": kind,
-                "target": target,
-                "detail": detail,
-                "site": self._site(),
-            })
-
-    def _stack_is_replicated(self) -> bool:
-        depth, budget = 2, 64
-        while budget:
-            try:
-                frame = sys._getframe(depth)
-            except ValueError:
-                return False
-            filename = frame.f_code.co_filename
-            for suffix in self._replicated_paths:
-                if filename.endswith(suffix):
-                    return True
-            depth += 1
-            budget -= 1
-        return False  # pragma: no cover - pathological stack depth
-
-    def _check_muted(self, family: str) -> None:
-        if not self._stack_is_replicated():
-            self._record(
-                "muted-counter", family,
-                "incremented outside every replicated site: the count "
-                "exists only on this worker rank and vanishes from the "
-                "merged snapshot",
-            )
-
-    # -- object guarding ----------------------------------------------
-    def guard(self, obj, label: str):
-        """Tag ``obj`` as rank-0-owned: any attribute write through it
-        on this rank is recorded (object behavior is unchanged)."""
-        auditor = self
-        cls = type(obj)
-
-        def audited_setattr(target, attr, value):
-            auditor._record("owned-object", label, f"wrote .{attr}")
-            super(audited, target).__setattr__(attr, value)
-
-        audited = type(f"_Audited{cls.__name__}", (cls,), {
-            "__slots__": (),                # layout-compatible with cls
-            "__setattr__": audited_setattr,
-        })
-        obj.__class__ = audited
-        self._guarded.append((obj, cls))
-        return obj
-
-    def muted_instrument(self, family: str) -> _AuditedMutedCounter:
-        return _AuditedMutedCounter(self, family)
-
-    def unguard_all(self) -> None:
-        """Restore every guarded object's original class."""
-        for obj, cls in self._guarded:
-            # plain assignment would route through the audited
-            # __setattr__ and record the restore itself
-            object.__setattr__(obj, "__class__", cls)
-        self._guarded.clear()
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    def report(self) -> dict:
-        return {
-            "rank": self.rank,
-            "violations": list(self.violations),
-            "clean": self.clean,
-        }
-
-
 def audit_run(config, guard_module_rng: bool = True) -> dict:
     """Run one config under the full sanitizer.
 

@@ -282,114 +282,6 @@ def verify_resume(
     )
 
 
-def verify_shards(
-    config=None,
-    shards: int = 2,
-    seed: int = 1,
-    flow: str = "off",
-) -> CheckResult:
-    """Sharded-engine parity as a determinism check.
-
-    One config, run single-process and again partitioned across
-    ``shards`` worker processes (:func:`repro.netsim.shard.run_sharded`);
-    the serialized result and the metrics snapshot must match byte for
-    byte.  A divergence is localized to the first differing line of
-    whichever artifact drifted — the conservative window protocol is
-    only correct if NO line can differ.
-    """
-    from repro.netsim.shard import run_sharded
-    from repro.serialization import result_to_json
-
-    if config is None:
-        from repro.core.config import SimulationConfig
-
-        config = SimulationConfig(n_devs=4, seed=seed, flood_flow=flow,
-                                  attack_duration=30.0, sim_duration=200.0)
-
-    def run_serialized(n: int) -> Tuple[str, str, dict]:
-        run = run_sharded(config, n)
-        metrics = json.dumps(run.ddosim.obs.metrics.snapshot(),
-                             sort_keys=True, indent=2)
-        return result_to_json(run.result), metrics, run.stats
-
-    single_result, single_metrics, _stats = run_serialized(1)
-    sharded_result, sharded_metrics, stats = run_serialized(shards)
-    name = f"shards 1-vs-{shards}"
-    compared = len(single_result.splitlines()) + len(single_metrics.splitlines())
-    if sharded_result != single_result:
-        return CheckResult(
-            name=name, identical=False, compared=compared,
-            divergence=first_divergence(
-                single_result.splitlines(), sharded_result.splitlines()
-            ),
-            detail="sharded run's serialized result differs",
-        )
-    if sharded_metrics != single_metrics:
-        return CheckResult(
-            name=name, identical=False, compared=compared,
-            divergence=first_divergence(
-                single_metrics.splitlines(), sharded_metrics.splitlines()
-            ),
-            detail="results identical but metrics snapshots differ",
-        )
-    return CheckResult(
-        name=name, identical=True, compared=compared,
-        detail=(f"result+metrics bit-identical across "
-                f"{stats['workers']} worker(s), "
-                f"{stats['sync_rounds']} sync rounds"),
-    )
-
-
-def verify_shard_lint(shards: int = 2, seed: int = 1) -> CheckResult:
-    """Shard-safety cross-check: static analyzer, then runtime auditor.
-
-    The SIM2xx project pass must come back clean over the installed
-    ``repro`` sources, and an audited sharded run
-    (:class:`repro.simlint.runtime.ShardAccessAuditor`) must report no
-    cross-rank access on any rank.  Together they close the loop: what
-    the analyzer proves about the source, the auditor confirms about an
-    actual partitioned execution.
-    """
-    import os
-
-    import repro
-    from repro.simlint.engine import lint_paths
-
-    name = "shard-lint"
-    package_dir = os.path.dirname(os.path.abspath(repro.__file__))
-    findings = lint_paths([package_dir], select=["SIM2"])
-    if findings:
-        first = findings[0]
-        return CheckResult(
-            name=name, identical=False, compared=len(findings),
-            detail=(f"{len(findings)} SIM2xx finding(s); first: "
-                    f"{first.path}:{first.line}: {first.code} "
-                    f"{first.message}"),
-        )
-
-    from repro.core.config import SimulationConfig
-    from repro.netsim.shard import run_sharded
-
-    config = SimulationConfig(n_devs=4, seed=seed, attack_duration=30.0,
-                              sim_duration=200.0)
-    run = run_sharded(config, shards, audit=True)
-    reports = run.stats.get("audit") or []
-    dirty = [report for report in reports if not report["clean"]]
-    if dirty:
-        violation = dirty[0]["violations"][0]
-        return CheckResult(
-            name=name, identical=False, compared=len(reports),
-            detail=(f"rank {dirty[0]['rank']} shard-access violation: "
-                    f"{violation['kind']} {violation['target']} at "
-                    f"{violation['site']}"),
-        )
-    return CheckResult(
-        name=name, identical=True, compared=len(reports),
-        detail=("SIM2xx static pass clean; audited sharded run clean "
-                f"on {len(reports)} worker rank(s)"),
-    )
-
-
 def verify_determinism(
     config=None,
     devs_grid: Sequence[int] = (2, 4),
@@ -397,15 +289,13 @@ def verify_determinism(
     jobs: int = 4,
     flow: str = "off",
     resume: bool = False,
-    shards: int = 0,
 ) -> DeterminismReport:
     """The full gate: double-run trace identity + jobs row identity.
 
     ``flow`` puts the fluid-flow datapath under the same contract: the
     checked config (and the sweep's base config) run with that crossover
     mode, so ``verify-determinism --flow all`` proves the analytic
-    solver is as bit-stable as the packet path.  ``shards >= 2`` adds
-    the sharded-engine parity check at that shard count.
+    solver is as bit-stable as the packet path.
     """
     base_config = None
     if config is None:
@@ -423,8 +313,4 @@ def verify_determinism(
                                      base_config=base_config))
     if resume:
         report.checks.append(verify_resume(seed=seed, flow=flow))
-    if shards >= 2:
-        report.checks.append(verify_shards(shards=shards, seed=seed,
-                                           flow=flow))
-        report.checks.append(verify_shard_lint(shards=shards, seed=seed))
     return report

@@ -33,6 +33,8 @@ class TestConfigValidation:
             {"n_devs": 5, "dev_rate_kbps": (500.0, 100.0)},
             {"n_devs": 5, "dev_rate_kbps": (0.0, 100.0)},
             {"n_devs": 5, "attack_duration": 0},
+            {"n_devs": 5, "attack_payload_size": 0},
+            {"n_devs": 5, "attack_payload_size": 65_508},
             {"n_devs": 5, "churn_phi": (0.1, 0.2)},
             {"n_devs": 5, "churn_phi": (0.1, 0.2, 1.7)},
         ],

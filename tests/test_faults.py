@@ -237,6 +237,18 @@ class TestLinkFaults:
         assert link.host_device.data_rate_bps == base_rate
         assert [e.action for e in ddosim.fault_injector.log] == ["inject", "clear"]
 
+    @pytest.mark.parametrize("kind, what", [
+        ("link_down", "link"),
+        ("crash", "container"),
+    ])
+    def test_target_matching_nothing_is_rejected(self, kind, what):
+        plan = FaultPlan(faults=(FaultSpec(kind=kind, target="dev999"),))
+        with pytest.raises(ValueError) as excinfo:
+            DDoSim(tiny_config(faults=plan)).run()
+        assert str(excinfo.value) == (
+            f"fault target 'dev999' matches no {what}"
+        )
+
     def test_admin_state_is_orthogonal_to_churn_state(self):
         sim = Simulator()
         device = PointToPointDevice(sim, 1e6)

@@ -125,3 +125,25 @@ class TestCli:
     def test_invalid_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--payload", "100000"], "attack_payload_size must be"),
+        (["run", "--devs", "0"], "n_devs must be positive"),
+    ])
+    def test_bad_config_is_a_one_line_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_malformed_fault_plan_is_a_one_line_error(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"faults": [{"kind": "meteor"}]}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["faultsweep", "--plan", str(plan)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -24,7 +24,6 @@ from repro.simlint import (
     Divergence,
     REGISTRY,
     RngStreamGuard,
-    ShardAccessAuditor,
     TieBreakAuditor,
     Violation,
     all_codes,
@@ -36,7 +35,6 @@ from repro.simlint import (
     format_text,
     in_clock_allowlist,
     lint_paths,
-    lint_project_sources,
     lint_source,
     load_baseline,
     parse_suppressions,
@@ -287,14 +285,11 @@ class TestSelectIgnore:
         assert all_codes() == [
             "SIM101", "SIM102", "SIM103", "SIM104", "SIM105", "SIM106",
             "SIM107", "SIM108",
-            "SIM201", "SIM202", "SIM203", "SIM204", "SIM205",
         ]
         for code, registered in REGISTRY.items():
             assert registered.code == code
             assert registered.name
             assert registered.summary
-            assert registered.scope == ("project" if code.startswith("SIM2")
-                                        else "file")
 
 
 class TestClockAllowlist:
@@ -329,8 +324,8 @@ class TestReporters:
         assert document["counts"] == {"SIM101": 1, "SIM102": 2}
         assert set(document["rules"]) == set(all_codes())
         assert document["rules"]["SIM101"]["name"] == "wall-clock"
-        assert document["rules"]["SIM101"]["scope"] == "file"
-        assert document["rules"]["SIM203"]["scope"] == "project"
+        assert all(entry["scope"] == "file"
+                   for entry in document["rules"].values())
 
     def test_wrong_schema_version_rejected(self):
         document = json.loads(format_json(self.VIOLATIONS))
@@ -660,14 +655,17 @@ class TestAutofix:
 # --select/--ignore prefix matching and baselines
 # ----------------------------------------------------------------------
 class TestPrefixSelect:
+    CODES = ["SIM101", "SIM102", "SIM111", "SIM112"]
+
     def test_select_family_prefix(self):
-        assert filter_codes(all_codes(), select=["SIM2"]) == [
-            "SIM201", "SIM202", "SIM203", "SIM204", "SIM205",
+        assert filter_codes(self.CODES, select=["SIM11"]) == [
+            "SIM111", "SIM112",
         ]
 
     def test_ignore_family_prefix(self):
-        assert not any(code.startswith("SIM2")
-                       for code in filter_codes(all_codes(), ignore=["SIM2"]))
+        assert filter_codes(self.CODES, ignore=["SIM11"]) == [
+            "SIM101", "SIM102",
+        ]
 
     def test_unknown_prefix_still_raises(self):
         with pytest.raises(ValueError, match="SIM9"):
@@ -678,7 +676,7 @@ class TestBaseline:
     VIOLATIONS = [
         Violation(path="a.py", line=3, col=4, code="SIM101", message="wall"),
         Violation(path="a.py", line=9, col=0, code="SIM101", message="wall"),
-        Violation(path="b.py", line=2, col=0, code="SIM203", message="muted"),
+        Violation(path="b.py", line=2, col=0, code="SIM102", message="rng"),
     ]
 
     def test_round_trip(self, tmp_path):
@@ -711,362 +709,6 @@ class TestBaseline:
         target.write_text(json.dumps(document))
         with pytest.raises(ValueError, match="schema_version"):
             load_baseline(str(target))
-
-
-# ----------------------------------------------------------------------
-# SIM2xx — shard-safety rules over fixture projects
-# ----------------------------------------------------------------------
-FIXTURE_CONTRACT = {
-    "version": 1,
-    "worker_roots": ["proj.worker:Worker.serve"],
-    "coordinator_roots": ["proj.coord:run_coordinator"],
-    "build_roots": ["proj.build:build_sim"],
-    "handoff_channels": ["proj.worker:Handoff"],
-    "rank0_owned_attrs": ["flow_engine"],
-    "mutating_methods": ["start_flow"],
-    "worker_muted_counters": ["churn_total"],
-    "replicated_sites": ["proj.churn:Churn"],
-    "unmerged_families_ok": {"devs_online": "replicated on every rank"},
-    "partitioned_streams_ok": ["faults"],
-    "shared_globals_ok": [],
-    "neutral_events": ["proj.churn:Churn.epoch"],
-    "rank0_guarded_attrs": ["flow_engine"],
-}
-
-
-def shard_lint(contract=None, **sources):
-    """Project-pass findings for fixture modules keyed by short name."""
-    named = {f"proj.{name}": (f"proj/{name}.py", source)
-             for name, source in sources.items()}
-    return lint_project_sources(
-        named, select=["SIM2"],
-        contract=contract if contract is not None else FIXTURE_CONTRACT,
-    )
-
-
-class TestSim201ShardOwnership:
-    def test_store_through_owned_handle_fires(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def serve(self, sim):\n"
-            "        engine = sim.flow_engine\n"
-            "        engine.rate = 5\n"
-        ))
-        assert codes_of(violations) == ["SIM201"]
-        assert violations[0].path == "proj/worker.py"
-        assert violations[0].line == 4
-        assert "flow_engine" in violations[0].message
-
-    def test_mutating_method_call_fires(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def serve(self, sim):\n"
-            "        sim.flow_engine.start_flow()\n"
-        ))
-        assert codes_of(violations) == ["SIM201"]
-        assert "start_flow" in violations[0].message
-
-    def test_read_only_access_stays_quiet(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def serve(self, sim):\n"
-            "        rate = sim.flow_engine.rate\n"
-            "        sim.flow_engine.describe()\n"
-            "        return rate\n"
-        ))
-        assert violations == []
-
-    def test_handoff_channel_is_exempt(self):
-        violations = shard_lint(worker=(
-            "class Handoff:\n"
-            "    def push(self, sim):\n"
-            "        sim.flow_engine.start_flow()\n"
-            "class Worker:\n"
-            "    def __init__(self, sim):\n"
-            "        self.handoff = Handoff()\n"
-            "        self.sim = sim\n"
-            "    def serve(self):\n"
-            "        self.handoff.push(self.sim)\n"
-        ))
-        assert violations == []
-
-    def test_suppression_comment(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def serve(self, sim):\n"
-            "        sim.flow_engine.start_flow()"
-            "  # simlint: disable=SIM201\n"
-        ))
-        assert violations == []
-
-
-class TestSim202CrossRankRace:
-    SHARED = (
-        "SEEN = set()\n"
-        "def record(x):\n"
-        "    SEEN.add(x)\n"
-    )
-    WORKER = (
-        "from proj.shared import record\n"
-        "class Worker:\n"
-        "    def serve(self):\n"
-        "        record(1)\n"
-    )
-    COORD = (
-        "from proj.shared import record\n"
-        "def run_coordinator():\n"
-        "    record(2)\n"
-    )
-
-    def test_both_sides_mutating_fires(self):
-        violations = shard_lint(shared=self.SHARED, worker=self.WORKER,
-                                coord=self.COORD)
-        assert codes_of(violations) == ["SIM202"]
-        assert violations[0].path == "proj/shared.py"
-        assert "SEEN" in violations[0].message
-
-    def test_single_side_stays_quiet(self):
-        violations = shard_lint(shared=self.SHARED, worker=self.WORKER)
-        assert violations == []
-
-    def test_declared_shared_global_is_allowed(self):
-        contract = dict(FIXTURE_CONTRACT, shared_globals_ok=["SEEN"])
-        violations = shard_lint(contract=contract, shared=self.SHARED,
-                                worker=self.WORKER, coord=self.COORD)
-        assert violations == []
-
-
-class TestSim203CounterConservation:
-    def test_muted_counter_on_worker_path_fires(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def __init__(self, reg):\n"
-            "        self.drops = reg.counter('churn_total', help='x')\n"
-            "    def serve(self):\n"
-            "        self.drops.inc()\n"
-        ))
-        assert codes_of(violations) == ["SIM203"]
-        assert violations[0].line == 5
-        assert "churn_total" in violations[0].message
-
-    def test_muted_counter_at_replicated_site_stays_quiet(self):
-        violations = shard_lint(
-            worker=(
-                "from proj.churn import Churn\n"
-                "class Worker:\n"
-                "    def __init__(self, reg):\n"
-                "        self.churn = Churn(reg)\n"
-                "    def serve(self):\n"
-                "        self.churn.step()\n"
-            ),
-            churn=(
-                "class Churn:\n"
-                "    def __init__(self, reg):\n"
-                "        self.c = reg.counter('churn_total', help='x')\n"
-                "    def step(self):\n"
-                "        self.c.inc()\n"
-            ),
-        )
-        assert violations == []
-
-    def test_unmerged_gauge_on_worker_path_fires(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def __init__(self, reg):\n"
-            "        self.depth = reg.gauge('queue_depth')\n"
-            "    def serve(self):\n"
-            "        self.depth.set(3)\n"
-        ))
-        assert codes_of(violations) == ["SIM203"]
-        assert "queue_depth" in violations[0].message
-
-    def test_declared_unmerged_family_is_allowed(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def __init__(self, reg):\n"
-            "        self.online = reg.gauge('devs_online')\n"
-            "    def serve(self):\n"
-            "        self.online.set(4)\n"
-        ))
-        assert violations == []
-
-    def test_unmuted_counter_stays_quiet(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def __init__(self, reg):\n"
-            "        self.tx = reg.counter('tx_total')\n"
-            "    def serve(self):\n"
-            "        self.tx.inc()\n"
-        ))
-        assert violations == []
-
-    def test_suppression_comment(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def __init__(self, reg):\n"
-            "        self.drops = reg.counter('churn_total')\n"
-            "    def serve(self):\n"
-            "        self.drops.inc()  # simlint: disable=SIM203\n"
-        ))
-        assert violations == []
-
-
-class TestSim204ShardRngStream:
-    BUILD = (
-        "import random\n"
-        "def build_sim(seed):\n"
-        "    rng = random.Random(f'{seed}-wifi')\n"
-        "    return rng.random()\n"
-    )
-
-    def test_stream_drawn_in_build_and_worker_fires(self):
-        violations = shard_lint(build=self.BUILD, worker=(
-            "import random\n"
-            "class Worker:\n"
-            "    def serve(self, seed):\n"
-            "        rng = random.Random(f'{seed}-wifi')\n"
-            "        return rng.random()\n"
-        ))
-        assert codes_of(violations) == ["SIM204"]
-        assert violations[0].path == "proj/worker.py"
-        assert "wifi" in violations[0].message
-
-    def test_worker_only_stream_stays_quiet(self):
-        violations = shard_lint(build=self.BUILD, worker=(
-            "import random\n"
-            "class Worker:\n"
-            "    def serve(self, seed):\n"
-            "        rng = random.Random(f'{seed}-local')\n"
-            "        return rng.random()\n"
-        ))
-        assert violations == []
-
-    def test_declared_partitioned_stream_is_allowed(self):
-        build = self.BUILD.replace("-wifi", "-faults")
-        violations = shard_lint(build=build, worker=(
-            "import random\n"
-            "class Worker:\n"
-            "    def serve(self, seed):\n"
-            "        rng = random.Random(f'{seed}-faults')\n"
-            "        return rng.random()\n"
-        ))
-        assert violations == []
-
-
-class TestSim205NeutralEvents:
-    def test_declared_without_refund_fires(self):
-        violations = shard_lint(churn=(
-            "class Churn:\n"
-            "    def epoch(self, sim):\n"
-            "        return sim.now\n"
-        ))
-        assert codes_of(violations) == ["SIM205"]
-        assert "never" in violations[0].message
-
-    def test_undeclared_refund_fires(self):
-        violations = shard_lint(
-            churn=(
-                "class Churn:\n"
-                "    def epoch(self, sim):\n"
-                "        sim.events_executed -= 1\n"
-            ),
-            worker=(
-                "class Worker:\n"
-                "    def serve(self, sim):\n"
-                "        sim.events_executed -= 1\n"
-            ),
-        )
-        assert codes_of(violations) == ["SIM205"]
-        assert violations[0].path == "proj/worker.py"
-        assert "not" in violations[0].message
-
-    def test_declared_with_refund_stays_quiet(self):
-        violations = shard_lint(churn=(
-            "class Churn:\n"
-            "    def epoch(self, sim):\n"
-            "        sim.events_executed -= 1\n"
-        ))
-        assert violations == []
-
-    def test_no_contract_means_vacuously_clean(self):
-        named = {"proj.worker": ("proj/worker.py",
-                                 "def f(sim):\n    sim.events_executed -= 1\n")}
-        assert lint_project_sources(named, select=["SIM2"]) == []
-
-
-class TestSim2xxJsonRoundTrip:
-    def test_project_findings_round_trip_exactly(self):
-        violations = shard_lint(worker=(
-            "class Worker:\n"
-            "    def serve(self, sim):\n"
-            "        sim.flow_engine.start_flow()\n"
-            "        sim.events_executed -= 1\n"
-        ))
-        assert sorted(codes_of(violations)) == ["SIM201", "SIM205"]
-        assert violations_from_json(format_json(violations)) == violations
-
-
-# ----------------------------------------------------------------------
-# Runtime sanitizer: shard access auditor
-# ----------------------------------------------------------------------
-class TestShardAccessAuditor:
-    def test_guarded_object_write_recorded_with_site(self):
-        auditor = ShardAccessAuditor(rank=1,
-                                     contract={"replicated_sites": []})
-
-        class Engine:
-            pass
-
-        engine = Engine()
-        auditor.guard(engine, "flow_engine")
-        engine.rate = 7
-        assert engine.rate == 7  # behavior unchanged
-        assert not auditor.clean
-        violation = auditor.report()["violations"][0]
-        assert violation["kind"] == "owned-object"
-        assert violation["target"] == "flow_engine"
-        assert violation["detail"] == "wrote .rate"
-        assert "test_simlint.py" in violation["site"]
-
-    def test_unguard_restores_original_class(self):
-        auditor = ShardAccessAuditor(rank=1,
-                                     contract={"replicated_sites": []})
-
-        class Engine:
-            pass
-
-        engine = Engine()
-        auditor.guard(engine, "flow_engine")
-        auditor.unguard_all()
-        engine.rate = 7
-        assert type(engine) is Engine
-        assert auditor.clean
-
-    def test_muted_inc_outside_replicated_site_recorded(self):
-        auditor = ShardAccessAuditor(
-            rank=2, contract={"replicated_sites": ["repro.core.churn:Churn"]})
-        counter = auditor.muted_instrument("churn_total")
-        counter.labels("a").inc()
-        violation = auditor.report()["violations"][0]
-        assert violation["kind"] == "muted-counter"
-        assert violation["target"] == "churn_total"
-        assert violation["rank"] == 2
-        assert "test_simlint.py" in violation["site"]
-
-    def test_muted_inc_from_replicated_site_passes(self):
-        # this test file itself declared replicated: the inc's stack
-        # matches, so the increment is legitimate
-        auditor = ShardAccessAuditor(
-            rank=1,
-            contract={"replicated_sites": ["tests.test_simlint:Anything"]})
-        auditor.muted_instrument("churn_total").inc()
-        assert auditor.clean
-
-    def test_report_shape(self):
-        auditor = ShardAccessAuditor(rank=3,
-                                     contract={"replicated_sites": []})
-        report = auditor.report()
-        assert report == {"rank": 3, "violations": [], "clean": True}
 
 
 # ----------------------------------------------------------------------

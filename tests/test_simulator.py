@@ -93,11 +93,14 @@ class TestCancellation:
         sim.run()
         assert seen == ["keep"]
 
-    def test_peek_next_time_skips_cancelled(self, sim):
-        cancelled = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+    def test_cancelled_head_is_skipped(self, sim):
+        seen = []
+        cancelled = sim.schedule(1.0, seen.append, "drop")
+        sim.schedule(2.0, lambda: seen.append(sim.now))
         cancelled.cancel()
-        assert sim.peek_next_time() == 2.0
+        assert sim.pending_events == 1
+        sim.run()
+        assert seen == [2.0]
 
 
 class TestRunControl:
@@ -156,14 +159,8 @@ class TestRunControl:
 
 
 class TestBoundarySemantics:
-    """Pin the run/advance boundary contract the sharded engine relies
-    on: ``run(until=T)`` is INCLUSIVE (events at exactly T fire) while
-    ``advance_until(T)`` is EXCLUSIVE unless asked otherwise.  The
-    conservative window protocol grants exclusive bounds so an event at
-    exactly the bound always executes with the NEXT window's cross-shard
-    hand-offs already scheduled; the final window re-runs inclusively to
-    match ``run``.  Changing either boundary silently breaks the
-    ``--shards N`` == ``--shards 1`` byte-identity guarantee."""
+    """Pin the ``run(until=T)`` boundary: it is INCLUSIVE (events at
+    exactly T fire), and a stop() leaves the clock at the stop event."""
 
     def test_run_until_is_inclusive(self, sim):
         seen = []
@@ -173,55 +170,6 @@ class TestBoundarySemantics:
         assert seen == ["at-bound"]
         assert final == 5.0
         assert sim.pending_events == 1
-
-    def test_advance_until_is_exclusive_by_default(self, sim):
-        seen = []
-        sim.schedule_at(3.0, seen.append, "before")
-        sim.schedule_at(5.0, seen.append, "at-bound")
-        executed = sim.advance_until(5.0)
-        assert seen == ["before"]
-        assert executed == 1
-        assert sim.pending_events == 1
-
-    def test_advance_until_inclusive_matches_run(self, sim):
-        seen = []
-        sim.schedule_at(5.0, seen.append, "at-bound")
-        sim.advance_until(5.0, inclusive=True)
-        assert seen == ["at-bound"]
-
-    def test_advance_until_does_not_pad_the_clock(self, sim):
-        # run(until=) pads sim.now up to the bound when the queue drains;
-        # advance_until must NOT, so a later window (or the final
-        # inclusive run) sees the true last-event time.
-        sim.schedule_at(2.0, lambda: None)
-        sim.advance_until(10.0)
-        assert sim.now == 2.0
-
-    def test_advance_until_resumable_in_windows(self, sim):
-        seen = []
-        for t in (1.0, 2.0, 3.0, 4.0):
-            sim.schedule_at(t, seen.append, t)
-        sim.advance_until(2.0)
-        assert seen == [1.0]
-        sim.advance_until(3.5)
-        assert seen == [1.0, 2.0, 3.0]
-        sim.advance_until(4.0, inclusive=True)
-        assert seen == [1.0, 2.0, 3.0, 4.0]
-
-    def test_advance_until_respects_stop(self, sim):
-        seen = []
-        sim.schedule_at(1.0, sim.stop)
-        sim.schedule_at(2.0, seen.append, "after-stop")
-        sim.advance_until(5.0)
-        assert seen == []
-
-    def test_advance_until_rejected_while_running(self, sim):
-        def nested():
-            with pytest.raises(SimulationError):
-                sim.advance_until(9.0)
-
-        sim.schedule(1.0, nested)
-        sim.run()
 
     def test_run_tail_padding_skipped_after_stop(self, sim):
         # The orchestrator's stop() must leave sim.now at the stop event,
