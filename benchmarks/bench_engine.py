@@ -27,28 +27,14 @@ def test_scheduler_throughput(benchmark):
     assert executed == 50_000
 
 
-def test_scheduler_throughput_calendar(benchmark):
-    """The same 50k no-op events through the calendar-queue scheduler."""
-
-    def run():
-        sim = Simulator(scheduler="calendar")
-        for index in range(50_000):
-            sim.schedule(index * 1e-6, _noop)
-        sim.run()
-        return sim.events_executed
-
-    executed = benchmark(run)
-    assert executed == 50_000
-
-
 def _noop():
     pass
 
 
-def _flood_run(train: int, packets: int = 5_000, scheduler: str = "heap"):
+def _flood_run(train: int, packets: int = 5_000):
     """Push ``packets`` UDP packets through the star (device->router->
     sink) in trains of ``train``; returns (events_executed, received)."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     star = StarInternet(sim)
     sender = Node(sim, "sender")
     receiver = Node(sim, "receiver")
@@ -90,17 +76,6 @@ def test_flood_datapath_train(benchmark):
     assert events * 3 <= baseline_events, (
         f"train=8 ran {events} events vs {baseline_events} at train=1"
     )
-
-
-def test_flood_datapath_train_calendar(benchmark):
-    """Train-batched flood through the calendar scheduler: identical
-    event count and delivery to the heap scheduler."""
-    events, received = benchmark(
-        lambda: _flood_run(train=8, scheduler="calendar")
-    )
-    assert received == 5_000
-    heap_events, _ = _flood_run(train=8, scheduler="heap")
-    assert events == heap_events
 
 
 def _flood_scenario(flow: str, train: int = 1, duration: float = 50.0,

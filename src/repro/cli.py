@@ -52,6 +52,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.config import SimulationConfig
@@ -75,10 +76,6 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
                         default="mixed")
     parser.add_argument("--payload", type=int, default=512,
                         help="UDP-PLAIN payload size (bytes)")
-    parser.add_argument("--scheduler", choices=("heap", "calendar"),
-                        default="heap",
-                        help="event scheduler (identical results, "
-                             "different speed)")
     parser.add_argument("--train", type=int, default=1,
                         help="flood packet-train size (1 = exact "
                              "per-packet datapath)")
@@ -119,17 +116,31 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             binary_mix=args.binary_mix,
             attack_payload_size=args.payload,
             sim_duration=max(600.0, args.duration + 150.0),
-            scheduler=args.scheduler,
             flood_train=args.train,
             flood_flow=args.flow,
         )
     if getattr(args, "faults", None):
-        from dataclasses import replace
-
         from repro.faults import load_fault_plan
 
         config = replace(config, faults=load_fault_plan(args.faults))
     return config
+
+
+@_config_errors()
+def _build_run(ddosim: DDoSim) -> DDoSim:
+    """Assemble a run up front, so a fault target that matches nothing
+    is reported like a bad flag rather than mid-run."""
+    return ddosim.build()
+
+
+@_config_errors()
+def _devs_grid(args: argparse.Namespace, default, base=None):
+    """The sweep's Devs grid (``--grid`` or ``default``), with every
+    point's config validated before the sweep starts."""
+    devs_grid = tuple(args.grid) if args.grid else default
+    for n_devs in devs_grid:
+        replace(base or SimulationConfig(), n_devs=n_devs)
+    return devs_grid
 
 
 def _emit_rows(rows, args) -> None:
@@ -283,7 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     kill_after=getattr(args, "kill_after_checkpoint", None),
                 )
                 writer.arm(ddosim)
-            result = ddosim.run()
+            result = _build_run(ddosim).run()
     except KeyboardInterrupt:
         if ddosim is not None:
             _dump_interrupt(ddosim)
@@ -310,7 +321,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     _check_writable(args.trace_out, args.metrics_out, args.jsonl_out)
     observatory = Observatory.full(trace_capacity=args.trace_capacity)
-    ddosim = DDoSim(config, observatory=observatory)
+    ddosim = _build_run(DDoSim(config, observatory=observatory))
     ddosim.run()
 
     profiler = ddosim.obs.profiler
@@ -355,7 +366,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.figure2:
         from repro.core.experiment import FIGURE2_CHURN, run_figure2
 
-        devs_grid = tuple(args.grid) if args.grid else (10, 50, 100, 150)
+        devs_grid = _devs_grid(args, (10, 50, 100, 150))
         telemetry = _telemetry_from_args(args, "figure2")
         rows = run_figure2(devs_grid=devs_grid, churn_modes=FIGURE2_CHURN,
                            seed=args.seed, jobs=args.jobs,
@@ -370,7 +381,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                   file=sys.stderr)
     else:
         config = _config_from_args(args)
-        ddosim = DDoSim(config, observatory=Observatory.full())
+        ddosim = _build_run(DDoSim(config, observatory=Observatory.full()))
         result = ddosim.run()
         obs = ddosim.obs
         html = render_run_report(
@@ -393,10 +404,10 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     """Regenerate the Figure 2 sweep (Devs x churn)."""
     from repro.core.experiment import FIGURE2_CHURN, run_figure2
 
-    devs_grid = tuple(args.grid) if args.grid else (10, 50, 100, 150)
     flow = getattr(args, "flow", "off")
     with _config_errors():
         base = SimulationConfig(flood_flow=flow) if flow != "off" else None
+    devs_grid = _devs_grid(args, (10, 50, 100, 150), base)
     rows = run_figure2(devs_grid=devs_grid, churn_modes=FIGURE2_CHURN,
                        seed=args.seed, base_config=base, jobs=args.jobs,
                        cache=_cache_from_args(args),
@@ -410,10 +421,10 @@ def cmd_figure3(args: argparse.Namespace) -> int:
     """Regenerate the Figure 3 sweep (attack durations)."""
     from repro.core.experiment import run_figure3
 
-    devs_grid = tuple(args.grid) if args.grid else (50, 100)
     with _config_errors():
         base = SimulationConfig(n_devs=1, attack_payload_size=1400,
                                 flood_flow=getattr(args, "flow", "off"))
+    devs_grid = _devs_grid(args, (50, 100), base)
     rows = run_figure3(devs_grid=devs_grid, seed=args.seed, base_config=base,
                        jobs=args.jobs, cache=_cache_from_args(args),
                        telemetry=_telemetry_from_args(args, "figure3"),
@@ -426,7 +437,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     """Regenerate Table I (host resources per run)."""
     from repro.core.experiment import TABLE1_DEVS, run_table1
 
-    devs_grid = tuple(args.grid) if args.grid else TABLE1_DEVS
+    devs_grid = _devs_grid(args, TABLE1_DEVS)
     rows = run_table1(devs_grid=devs_grid, seed=args.seed, jobs=args.jobs,
                       cache=_cache_from_args(args),
                       telemetry=_telemetry_from_args(args, "table1"),
@@ -439,7 +450,7 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     """Regenerate the Figure 4 validation (hardware vs DDoSim)."""
     from repro.core.experiment import run_figure4
 
-    devs_grid = tuple(args.grid) if args.grid else (1, 4, 7, 10, 13, 16, 19)
+    devs_grid = _devs_grid(args, (1, 4, 7, 10, 13, 16, 19))
     rows = run_figure4(devs_grid=devs_grid, seed=args.seed, jobs=args.jobs,
                        cache=_cache_from_args(args),
                        telemetry=_telemetry_from_args(args, "figure4"),
@@ -510,7 +521,7 @@ def _chaos_run_flags(args: argparse.Namespace) -> List[str]:
         "--devs", str(args.devs), "--seed", str(args.seed),
         "--churn", args.churn, "--duration", str(args.duration),
         "--binary-mix", args.binary_mix, "--payload", str(args.payload),
-        "--scheduler", args.scheduler, "--train", str(args.train),
+        "--train", str(args.train),
         "--flow", args.flow,
     ]
     if getattr(args, "faults", None):

@@ -120,9 +120,6 @@ class SimulationConfig:
     queue_packets: int = 100
 
     # --- Engine performance knobs --------------------------------------
-    #: event scheduler: "heap" (binary heap, default) or "calendar"
-    #: (NS-3-style calendar queue) — identical results, different speed
-    scheduler: str = "heap"
     #: flood packet-train size: each bot wakeup emits this many packets
     #: as one scheduled unit (1 = exact per-packet seed behaviour)
     flood_train: int = 1
@@ -175,12 +172,6 @@ class SimulationConfig:
                 raise ValueError(
                     f"faults must be a FaultPlan or dict, got {type(self.faults).__name__}"
                 )
-        from repro.netsim.scheduler import SCHEDULER_NAMES
-
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULER_NAMES}, got {self.scheduler!r}"
-            )
         if self.flood_train < 1:
             raise ValueError("flood_train must be >= 1")
         from repro.netsim.flows import FLOW_MODES

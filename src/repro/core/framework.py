@@ -62,7 +62,7 @@ class DDoSim:
                  observatory: Optional[Observatory] = None):
         self.config = config
         self.rng = random.Random(f"{config.seed}-ddosim")
-        self.sim = Simulator(scheduler=config.scheduler)
+        self.sim = Simulator()
         # Attach before any component is built: instrumented layers bind
         # their counters/tracers from sim.obs at construction time.
         self.obs = self.sim.attach_observatory(
@@ -197,7 +197,9 @@ class DDoSim:
 
         Devs attach first so that — when the default-credential baseline
         vector is enabled — the attacker's loader can be armed with the
-        fleet's address block before its image is baked.
+        fleet's address block before its image is baked.  A fault plan's
+        link/container targets are checked against the built run here,
+        so a glob that matches nothing fails before the clock starts.
         """
         if self._built:
             return self
@@ -207,6 +209,8 @@ class DDoSim:
             self.attacker.arm_telnet_loader(pool_base, first_iid, last_iid)
         self.attacker.build()
         self._built = True
+        if self.fault_injector is not None:
+            self.fault_injector.check_targets()
         return self
 
     # ------------------------------------------------------------------

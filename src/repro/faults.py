@@ -280,22 +280,37 @@ class FaultInjector:
             named.append(("attacker", ddosim.attacker.container))
         return named
 
-    def _resolve(self, spec: FaultSpec) -> List[Tuple[str, object]]:
+    def _matches(self, spec: FaultSpec) -> Optional[List[Tuple[str, object]]]:
+        """Every named link/container ``spec.target`` matches, or None
+        for faults that act on one implicit target (service faults and
+        churn).  Draws no randomness."""
         if spec.kind in _LINK_KINDS:
             candidates, what = self._links(), "link"
         elif spec.kind in _CONTAINER_KINDS:
             candidates, what = self._containers(), "container"
-        else:  # service faults and churn act on one implicit target
-            return [(spec.kind, None)]
+        else:
+            return None
         matches = [
             (name, obj) for name, obj in candidates
             if fnmatch.fnmatchcase(name, spec.target)
         ]
         if not matches:
             raise ValueError(f"fault target {spec.target!r} matches no {what}")
+        return matches
+
+    def _resolve(self, spec: FaultSpec) -> List[Tuple[str, object]]:
+        matches = self._matches(spec)
+        if matches is None:
+            return [(spec.kind, None)]
         if spec.pick is not None and spec.pick < len(matches):
             matches = self.rng.sample(matches, spec.pick)
         return matches
+
+    def check_targets(self) -> None:
+        """Raise ValueError for a target glob that matches nothing; call
+        once the run is built.  Draws no randomness, schedules nothing."""
+        for spec in self.plan.faults:
+            self._matches(spec)
 
     # ------------------------------------------------------------------
     # Arming

@@ -1,13 +1,14 @@
-"""Discrete-event simulation core: virtual clock and event scheduler.
+"""Discrete-event simulation core: virtual clock and event queue.
 
 This is the heart of the NS-3 substitute.  NS-3 runs a single-threaded
 event loop over a priority queue of (time, uid) ordered events; we do the
-same, behind a pluggable scheduler (:mod:`repro.netsim.scheduler`): the
-default binary heap, or an NS-3-style calendar queue that floods prefer.
-Everything else in ``repro`` — links, transports, containers, binaries,
-the botnet — schedules callbacks here.
+same over one ``heapq`` binary heap of ``(time, seq, event)`` tuples.
+``seq`` is unique, so entries order by plain tuple comparison and the
+event object itself is never compared.  Everything else in ``repro`` —
+links, transports, containers, binaries, the botnet — schedules
+callbacks here.
 
-The scheduler is deliberately minimal and fast: DDoS-flood experiments
+The queue is deliberately minimal and fast: DDoS-flood experiments
 push millions of events through it, so the hot path cuts allocation two
 ways:
 
@@ -16,7 +17,7 @@ ways:
   event objects through a freelist — the datapath (device serialization,
   channel propagation) uses it, because nobody ever cancels those events.
 * Cancelled events are tombstones; the simulator keeps an exact live
-  count (``pending_events``) and compacts the queue when tombstones
+  count (``pending_events``) and compacts the heap when tombstones
   outnumber live events, so retransmit/churn cancellation storms cannot
   bloat the queue.
 """
@@ -24,10 +25,9 @@ ways:
 from __future__ import annotations
 
 import time
-from heapq import heappop
-from typing import Any, Callable, Optional, Union
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Optional
 
-from repro.netsim.scheduler import HeapScheduler, make_scheduler
 from repro.obs.observatory import NULL_OBSERVATORY
 from repro.obs.profiler import site_of
 
@@ -37,7 +37,7 @@ COMPACT_MIN_TOMBSTONES = 64
 
 
 class SimulationError(RuntimeError):
-    """Raised for invalid scheduler usage (e.g. scheduling in the past)."""
+    """Raised for invalid scheduling (e.g. scheduling in the past)."""
 
 
 class ScheduledEvent:
@@ -72,11 +72,6 @@ class ScheduledEvent:
         if sim is not None:
             sim._note_cancel()
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self.cancelled else "pending"
         return f"<ScheduledEvent t={self.time:.6f} #{self.seq} {state}>"
@@ -87,26 +82,20 @@ class Simulator:
 
     Usage::
 
-        sim = Simulator()                      # default binary heap
-        sim = Simulator(scheduler="calendar")  # NS-3-style calendar queue
+        sim = Simulator()
         sim.schedule(1.0, lambda: print("one second"))
         sim.run(until=10.0)
 
     Events scheduled for the same instant fire in FIFO scheduling order
     (ties broken by a monotonically increasing sequence number), matching
-    NS-3 semantics and making runs fully deterministic — for *every*
-    scheduler choice, which is purely a performance knob.
+    NS-3 semantics and making runs fully deterministic.
     """
 
-    def __init__(self, scheduler: Union[str, object] = "heap") -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._seq: int = 0
-        if isinstance(scheduler, str):
-            self._sched = make_scheduler(scheduler)
-        else:
-            self._sched = scheduler
-        # The default heap's hot loop is inlined over its backing list.
-        self._heap = self._sched._heap if isinstance(self._sched, HeapScheduler) else None
+        #: binary heap of (time, seq, event) entries, tombstones included
+        self._heap: list = []
         self._running = False
         self._stopped = False
         self._live = 0        # scheduled, not yet fired or cancelled
@@ -140,11 +129,6 @@ class Simulator:
         """Current virtual time in seconds."""
         return self._now
 
-    @property
-    def scheduler_name(self) -> str:
-        """Registry name of the active scheduler (``SCHEDULER_NAMES``)."""
-        return getattr(self._sched, "name", type(self._sched).__name__)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -161,10 +145,11 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         self._seq += 1
-        event = ScheduledEvent(time, self._seq, callback, args)
+        seq = self._seq
+        event = ScheduledEvent(time, seq, callback, args)
         event._sim = self
         self._live += 1
-        self._sched.push(event)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def schedule_now(self, callback: Callable, *args: Any) -> ScheduledEvent:
@@ -183,18 +168,20 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._seq += 1
+        seq = self._seq
+        time = self._now + delay
         free = self._free
         if free:
             event = free.pop()
-            event.time = self._now + delay
-            event.seq = self._seq
+            event.time = time
+            event.seq = seq
             event.callback = callback
             event.args = args
         else:
-            event = ScheduledEvent(self._now + delay, self._seq, callback, args)
+            event = ScheduledEvent(time, seq, callback, args)
             event.recycle = True
         self._live += 1
-        self._sched.push(event)
+        heappush(self._heap, (time, seq, event))
 
     def schedule_bare_at(self, time: float, callback: Callable, *args: Any) -> None:
         """:meth:`schedule_bare` at an absolute virtual ``time``.
@@ -208,27 +195,32 @@ class Simulator:
                 f"cannot schedule at t={time} before now={self._now}"
             )
         self._seq += 1
+        seq = self._seq
         free = self._free
         if free:
             event = free.pop()
             event.time = time
-            event.seq = self._seq
+            event.seq = seq
             event.callback = callback
             event.args = args
         else:
-            event = ScheduledEvent(time, self._seq, callback, args)
+            event = ScheduledEvent(time, seq, callback, args)
             event.recycle = True
         self._live += 1
-        self._sched.push(event)
+        heappush(self._heap, (time, seq, event))
 
     def _note_cancel(self) -> None:
         """Live/tombstone bookkeeping for one cancellation; compacts the
-        queue when tombstones dominate (in place, so the run loop's alias
+        heap when tombstones dominate (in place, so the run loop's alias
         of the heap stays valid)."""
         self._live -= 1
         self._tombstones += 1
         if self._tombstones > COMPACT_MIN_TOMBSTONES and self._tombstones > self._live:
-            self._tombstones -= self._sched.remove_cancelled()
+            heap = self._heap
+            before = len(heap)
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapify(heap)
+            self._tombstones -= before - len(heap)
 
     # ------------------------------------------------------------------
     # Execution
@@ -248,10 +240,8 @@ class Simulator:
         try:
             if self.obs.instrumented:
                 self._run_instrumented(until)
-            elif self._heap is not None:
-                self._run_heap(until)
             else:
-                self._run_generic(until)
+                self._run_heap(until)
         except Exception:
             # An exception escaping the event loop (a failed assertion, a
             # crashing callback) force-dumps the flight recorder so the
@@ -268,14 +258,13 @@ class Simulator:
         return self._now
 
     def _run_heap(self, until: Optional[float]) -> None:
-        """The inlined hot loop for the default binary-heap scheduler."""
+        """The uninstrumented hot loop."""
         heap = self._heap
         free = self._free
         while heap and not self._stopped:
-            event = heap[0]
-            if until is not None and event.time > until:
+            if until is not None and heap[0][0] > until:
                 break
-            heappop(heap)
+            event = heappop(heap)[2]
             if event.cancelled:
                 self._tombstones -= 1
                 continue
@@ -291,34 +280,11 @@ class Simulator:
                 event._sim = None  # fired: late cancel() is a no-op
             callback(*args)
 
-    def _run_generic(self, until: Optional[float]) -> None:
-        """Scheduler-agnostic loop (calendar queue and custom schedulers)."""
-        sched = self._sched
-        free = self._free
-        while not self._stopped:
-            event = sched.pop_next(until)
-            if event is None:
-                break
-            if event.cancelled:
-                self._tombstones -= 1
-                continue
-            self._now = event.time
-            self._live -= 1
-            self.events_executed += 1
-            callback = event.callback
-            args = event.args
-            if event.recycle:
-                event.callback = event.args = None
-                free.append(event)
-            else:
-                event._sim = None
-            callback(*args)
-
     def _run_instrumented(self, until: Optional[float]) -> None:
         """The observed run loop: per-site wall timing, queue high-water,
         and ``sched.fire`` trace events.  Split from :meth:`run` so the
         default loop stays the uninstrumented hot path."""
-        sched = self._sched
+        heap = self._heap
         free = self._free
         profiler = self.obs.profiler
         tracer = self.obs.tracer
@@ -328,12 +294,12 @@ class Simulator:
         perf = time.perf_counter  # simlint: disable=SIM101
         if profiler is not None:
             profiler.start_run()
-        while not self._stopped:
-            if profiler is not None and len(sched) > profiler.heap_high_water:
-                profiler.heap_high_water = len(sched)
-            event = sched.pop_next(until)
-            if event is None:
+        while heap and not self._stopped:
+            if profiler is not None and len(heap) > profiler.heap_high_water:
+                profiler.heap_high_water = len(heap)
+            if until is not None and heap[0][0] > until:
                 break
+            event = heappop(heap)[2]
             if event.cancelled:
                 self._tombstones -= 1
                 continue
@@ -370,16 +336,16 @@ class Simulator:
     def queued_entries(self) -> int:
         """Raw queue length including cancelled tombstones (what the
         queue physically holds; profiler high-water tracks this)."""
-        return len(self._sched)
+        return len(self._heap)
 
     def checkpoint_events(self):
         """Every queued event — tombstones included — for checkpoint
-        fingerprinting; iteration order is scheduler-internal, callers
-        must sort by the (time, seq) key."""
-        return self._sched.events()
+        fingerprinting; iteration order is heap-internal, callers must
+        sort by the (time, seq) key."""
+        return (entry[2] for entry in self._heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"<Simulator t={self._now:.6f} pending={self._live} "
-            f"tombstones={self._tombstones} sched={self.scheduler_name}>"
+            f"tombstones={self._tombstones}>"
         )

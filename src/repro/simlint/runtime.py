@@ -2,11 +2,11 @@
 
 Two dynamic monitors complement the AST linter:
 
-* :class:`TieBreakAuditor` wraps any scheduler (:mod:`repro.netsim.
-  scheduler`) and records **same-timestamp collisions between different
-  callback sites**.  Ties are broken deterministically by sequence
-  number, but when two *different* sites land on one timestamp the
-  outcome depends on scheduling order — a refactor that reorders the
+* :class:`TieBreakAuditor` wraps a simulator's push entry points and
+  records **same-timestamp collisions between different callback
+  sites**.  Ties are broken deterministically by sequence number, but
+  when two *different* sites land on one timestamp the outcome
+  depends on scheduling order — a refactor that reorders the
   ``schedule()`` calls silently reorders the simulation.  The audit
   surfaces where that fragility lives.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.profiler import site_of
 
@@ -43,24 +43,17 @@ _SAMPLE_CAP = 32
 
 
 class TieBreakAuditor:
-    """Scheduler wrapper that audits same-timestamp tie-breaks.
+    """Push-side audit of same-timestamp tie-breaks on one simulator.
 
-    Drop-in for any scheduler object::
-
-        sim = Simulator(scheduler=TieBreakAuditor(HeapScheduler()))
-
-    or retrofit an assembled run (events already queued keep flowing —
-    the auditor delegates to the same inner scheduler)::
+    Retrofit an assembled run (events already queued keep flowing)::
 
         auditor = TieBreakAuditor.attach(ddosim.sim)
         ddosim.run()
         report = auditor.report()
     """
 
-    name = "tiebreak-audit"
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
+    def __init__(self, sim) -> None:
+        self._sim = sim
         # per pending timestamp: [event count, set of callback sites]
         self._ties_at: Dict[float, list] = {}
         self.pushes = 0
@@ -70,34 +63,43 @@ class TieBreakAuditor:
 
     @classmethod
     def attach(cls, sim) -> "TieBreakAuditor":
-        """Wrap a simulator's scheduler in place (forces the generic
-        run loop; the inlined heap fast path bypasses wrappers)."""
-        auditor = cls(sim._sched)
-        sim._sched = auditor
-        sim._heap = None
+        """Wrap the simulator's three push entry points on the instance
+        (``schedule`` and ``schedule_now`` route through ``schedule_at``);
+        the run loops stay untouched, so an unaudited run pays nothing."""
+        auditor = cls(sim)
+        for name, relative in (("schedule_at", False),
+                               ("schedule_bare", True),
+                               ("schedule_bare_at", False)):
+            setattr(sim, name, auditor._audited(getattr(sim, name), relative))
         return auditor
 
-    # -- delegated scheduler protocol ---------------------------------
-    def __len__(self) -> int:
-        return len(self._inner)
+    def _audited(self, push, relative: bool):
+        """``push`` with each accepted event noted at its virtual time
+        (``relative``: the first argument is a delay from now)."""
+        sim = self._sim
 
-    def peek(self):
-        return self._inner.peek()
+        def audited(when, callback, *args):
+            handle = push(when, callback, *args)
+            self._note(sim.now + when if relative else when, callback)
+            return handle
 
-    def drop_cancelled_head(self) -> int:
-        return self._inner.drop_cancelled_head()
+        return audited
 
-    def remove_cancelled(self) -> int:
-        return self._inner.remove_cancelled()
-
-    # -- audited operations -------------------------------------------
-    def push(self, event) -> None:
+    def _note(self, time: float, callback) -> None:
+        """Account one accepted push at virtual ``time``."""
         self.pushes += 1
-        site = site_of(event.callback)
-        entry = self._ties_at.get(event.time)
+        ties_at = self._ties_at
+        if len(ties_at) > 8192:
+            # Nothing can be scheduled before now: past stamps are done.
+            now = self._sim.now
+            ties_at = self._ties_at = {
+                stamp: entry for stamp, entry in ties_at.items()
+                if stamp >= now
+            }
+        site = site_of(callback)
+        entry = ties_at.get(time)
         if entry is None:
-            self._ties_at[event.time] = [1, {site}]
-            self._inner.push(event)
+            ties_at[time] = [1, {site}]
             return
         entry[0] += 1
         sites = entry[1]
@@ -109,21 +111,10 @@ class TieBreakAuditor:
             self.cross_site_ties += 1
             if len(self.samples) < _SAMPLE_CAP:
                 self.samples.append({
-                    "time": event.time,
+                    "time": time,
                     "sites": sorted(sites | {site}),
                 })
             sites.add(site)
-        self._inner.push(event)
-
-    def pop_next(self, limit: Optional[float] = None):
-        event = self._inner.pop_next(limit)
-        if event is not None and len(self._ties_at) > 8192:
-            now = event.time
-            self._ties_at = {
-                time: entry for time, entry in self._ties_at.items()
-                if time >= now
-            }
-        return event
 
     def report(self) -> dict:
         return {
@@ -229,9 +220,10 @@ class RngStreamGuard:
 def audit_run(config, guard_module_rng: bool = True) -> dict:
     """Run one config under the full sanitizer.
 
-    Builds a :class:`repro.core.framework.DDoSim`, wraps its scheduler
-    in a :class:`TieBreakAuditor`, optionally guards the module-global
-    RNG, runs to completion, and returns a combined report::
+    Builds a :class:`repro.core.framework.DDoSim`, attaches a
+    :class:`TieBreakAuditor` to its simulator, optionally guards the
+    module-global RNG, runs to completion, and returns a combined
+    report::
 
         {"tiebreak": {...}, "module_rng": {...}, "result": RunResult}
     """

@@ -1,6 +1,7 @@
 """Tests for config/result serialization and the CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -129,6 +130,12 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["run", "--payload", "100000"], "attack_payload_size must be"),
         (["run", "--devs", "0"], "n_devs must be positive"),
+        (["figure2", "--grid", "0"], "n_devs must be positive"),
+        (["figure3", "--grid", "0"], "n_devs must be positive"),
+        (["table1", "--grid", "10", "-1"], "n_devs must be positive"),
+        (["figure4", "--grid", "0"], "n_devs must be positive"),
+        (["report", "--figure2", "--grid", "0", "--out", os.devnull],
+         "n_devs must be positive"),
     ])
     def test_bad_config_is_a_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -147,3 +154,43 @@ class TestCli:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    #: knobs deleted from the CLI and SimulationConfig
+    REMOVED_KNOBS = ["scheduler"]
+
+    @pytest.mark.parametrize("knob", REMOVED_KNOBS)
+    def test_removed_flag_is_rejected(self, knob):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", f"--{knob}", "calendar"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("knob", REMOVED_KNOBS)
+    def test_removed_config_field_is_a_one_line_error(
+            self, capsys, tmp_path, knob):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({knob: "heap"}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--config", str(config_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: unknown config fields: ['{knob}']\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kind, what", [
+        ("link_down", "link"),
+        ("crash", "container"),
+    ])
+    def test_unmatched_fault_target_is_a_one_line_error(
+            self, capsys, tmp_path, kind, what):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"faults": [{"kind": kind, "target": "dev999"}]}
+        ))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--devs", "2", "--faults", str(plan)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: fault target 'dev999' matches no {what}\n"
+        )
+        assert captured.out == ""

@@ -357,7 +357,6 @@ class TestTieBreakAuditor:
     def test_counts_cross_site_ties(self):
         sim = Simulator()
         auditor = TieBreakAuditor.attach(sim)
-        assert sim._heap is None  # forces the generic (wrappable) loop
         sim.schedule_at(1.0, _cb_a)
         sim.schedule_at(1.0, _cb_b)   # cross-site tie at t=1.0
         sim.schedule_at(2.0, _cb_a)

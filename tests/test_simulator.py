@@ -1,4 +1,6 @@
-"""Unit tests for the discrete-event scheduler."""
+"""Unit tests for the discrete-event simulator and its event heap."""
+
+import random
 
 import pytest
 
@@ -101,6 +103,110 @@ class TestCancellation:
         assert sim.pending_events == 1
         sim.run()
         assert seen == [2.0]
+
+
+class TestScheduleBare:
+    def test_schedule_bare_fires_in_order(self, sim):
+        fired = []
+        sim.schedule_bare(0.2, fired.append, "late")
+        sim.schedule_bare(0.1, fired.append, "early")
+        sim.run()
+        assert fired == ["early", "late"]
+
+    def test_schedule_bare_rejects_negative_delay(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_bare(-0.1, lambda: None)
+
+    def test_schedule_bare_recycles_event_objects(self, sim):
+        def chain(remaining):
+            if remaining:
+                sim.schedule_bare(0.1, chain, remaining - 1)
+
+        chain(100)
+        sim.run()
+        # Strictly sequential wakeups reuse a single freelist event.
+        assert sim.events_executed == 100
+        assert len(sim._free) == 1
+
+
+class TestLiveAccounting:
+    def test_pending_events_excludes_cancelled(self, sim):
+        keep = sim.schedule(1.0, lambda: None)
+        drop = sim.schedule(2.0, lambda: None)
+        assert sim.pending_events == 2
+        drop.cancel()
+        assert sim.pending_events == 1
+        assert keep is not drop
+
+    def test_cancel_after_fire_keeps_live_count_exact(self, sim):
+        handle = sim.schedule(0.5, lambda: None)
+        sim.run()
+        assert sim.pending_events == 0
+        handle.cancel()  # late cancel must be a no-op
+        assert sim.pending_events == 0
+
+    def test_double_cancel_counts_once(self, sim):
+        handle = sim.schedule(1.0, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.events_executed == 0
+
+    def test_tombstone_compaction_shrinks_queue(self, sim):
+        handles = [sim.schedule(1.0 + i * 1e-3, lambda: None) for i in range(200)]
+        for handle in handles[:150]:
+            handle.cancel()
+        # Compaction fires once cancellations outnumber live events, so
+        # the physical queue holds far fewer than 150 tombstones.
+        assert sim.pending_events == 50
+        assert sim.queued_entries < 100
+        sim.run()
+        assert sim.events_executed == 50
+
+
+def test_churn_fires_live_events_in_time_seq_order(sim):
+    """Cancels, ``schedule_bare`` re-arms and compaction: the heap fires
+    exactly the events left live, in sorted (time, seq) order."""
+    rng = random.Random(1234)
+    keys = []       # tag -> (time, seq) it was scheduled with
+    handles = []    # (tag, handle) of cancellable events
+    cancelled = set()
+    fired = []
+
+    def arm(delay, bare):
+        tag = len(keys)
+        keys.append((sim.now + delay, sim._seq + 1))
+        if bare:
+            sim.schedule_bare(delay, callback, tag)
+        else:
+            handles.append((tag, sim.schedule(delay, callback, tag)))
+
+    def cancel_one():
+        tag, handle = handles.pop(rng.randrange(len(handles)))
+        if tag not in fired:
+            cancelled.add(tag)
+        handle.cancel()
+
+    def callback(tag):
+        fired.append(tag)
+        if tag % 3 == 0 and sim.now < 4.0:
+            arm(rng.random(), bare=False)
+        if tag % 5 == 0 and handles:
+            cancel_one()
+        if tag % 2 == 0 and sim.now < 4.0:
+            arm(rng.random() * 0.3, bare=True)
+
+    for _ in range(300):
+        arm(rng.random() * 2.0, bare=False)
+    for _ in range(200):
+        cancel_one()
+    assert sim.queued_entries < 200  # tombstones were compacted away
+    sim.run(until=8.0)
+
+    live = [tag for tag in range(len(keys)) if tag not in cancelled]
+    assert fired == sorted(live, key=keys.__getitem__)
+    assert len(fired) > 300
 
 
 class TestRunControl:
