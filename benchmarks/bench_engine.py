@@ -260,33 +260,6 @@ def test_sweep_cold_vs_warm(benchmark, tmp_path):
     assert last_sweep["hit_rate"] == 1.0
 
 
-def test_checkpointed_run_overhead(benchmark, tmp_path):
-    """Checkpoint barriers must be cheap AND result-neutral: this
-    benchmarks a run with ~4 checkpoint ticks armed and asserts its
-    serialized result is byte-identical to the plain run's."""
-    from repro.checkpoint import CheckpointWriter
-    from repro.core.config import SimulationConfig
-    from repro.core.framework import DDoSim
-    from repro.serialization import result_to_json
-
-    config = SimulationConfig(n_devs=2, seed=1, attack_duration=10.0,
-                              recruit_timeout=30.0, sim_duration=120.0)
-    plain = result_to_json(DDoSim(config).run())
-    counter = {"n": 0}
-
-    def checkpointed_run():
-        counter["n"] += 1
-        directory = str(tmp_path / f"ck{counter['n']}")
-        ddosim = DDoSim(config)
-        writer = CheckpointWriter(directory, 15.0).arm(ddosim)
-        result = ddosim.run()
-        return result_to_json(result), writer.written
-
-    result_bytes, written = benchmark(checkpointed_run)
-    assert result_bytes == plain
-    assert written, "at least one checkpoint barrier must fire"
-
-
 def test_cache_hit_schedules_zero_events(tmp_path):
     """Regression guard: a cache hit is a pure deserialize.
 

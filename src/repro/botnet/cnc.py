@@ -206,7 +206,7 @@ class CncServer:
     # Command fan-out
     # ------------------------------------------------------------------
     def checkpoint_state(self) -> dict:
-        """Deterministic registry/command state for checkpoint
+        """Deterministic registry/command state for state
         fingerprints (bot IDs are instance-local and reproducible)."""
         return {
             "registrations": self.total_registrations,

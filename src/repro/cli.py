@@ -16,16 +16,14 @@ Commands:
   timeline, attack tree, sparklines, flight-recorder dumps) or of the
   cached Figure 2 sweep; ``--flows`` adds a NetFlow-style JSONL export.
 * ``cache``       — run-cache maintenance: ``stats``, ``clear``, ``gc``.
-* ``chaos``       — crash-recovery proof: run a scenario straight, then
-  SIGKILL an identical run right after a seeded checkpoint, resume it,
-  and require byte-identical results.
 * ``lint``        — determinism linter (``repro.simlint``): SIM1xx rules
   over sim code; nonzero exit on violations (the CI gate).  ``--fix``
   applies mechanical rewrites, ``--diff BASE`` lints only changed
   files, ``--baseline FILE`` subtracts recorded findings.
 * ``verify-determinism`` — execute the determinism contract: one config
-  twice (first diverging trace event on mismatch) and a figure2 sweep
-  at ``--jobs 1`` vs ``--jobs N`` (rows must be byte-identical).
+  twice (first diverging trace event, or the subsystems whose
+  end-of-run state fingerprints differ, on mismatch) and a figure2
+  sweep at ``--jobs 1`` vs ``--jobs N`` (rows must be byte-identical).
 
 Every sweep command accepts ``--csv PATH`` / ``--json PATH`` to archive
 the rows, and caches finished grid points under ``--cache-dir``
@@ -37,11 +35,7 @@ and ``--faults PATH`` to arm a :mod:`repro.faults` plan against it.
 ``trace_event`` file — load it at ``chrome://tracing`` or
 https://ui.perfetto.dev) and ``--metrics-out`` (metrics-registry
 snapshot; metrics-only instrumentation so the snapshot stays
-byte-comparable across runs), plus ``--checkpoint-every N`` /
-``--checkpoint-dir`` to write resumable state checkpoints and
-``--resume-from PATH`` to continue a killed run from its last
-checkpoint (byte-identical to the uninterrupted run; see
-``repro.checkpoint``).  Sweeps accept ``--point-timeout`` /
+byte-comparable across runs).  Sweeps accept ``--point-timeout`` /
 ``--retries`` to arm supervised execution: hung or crashed grid points
 are retried with backoff and quarantined instead of killing the sweep.
 """
@@ -134,13 +128,17 @@ def _build_run(ddosim: DDoSim) -> DDoSim:
 
 
 @_config_errors()
-def _devs_grid(args: argparse.Namespace, default, base=None):
-    """The sweep's Devs grid (``--grid`` or ``default``), with every
-    point's config validated before the sweep starts."""
-    devs_grid = tuple(args.grid) if args.grid else default
+def _checked_devs(devs_grid, base=None):
+    """``devs_grid``, with every point's config validated before any
+    simulation starts."""
     for n_devs in devs_grid:
         replace(base or SimulationConfig(), n_devs=n_devs)
     return devs_grid
+
+
+def _devs_grid(args: argparse.Namespace, default, base=None):
+    """The sweep's Devs grid (``--grid`` or ``default``), validated."""
+    return _checked_devs(tuple(args.grid) if args.grid else default, base)
 
 
 def _emit_rows(rows, args) -> None:
@@ -244,8 +242,7 @@ def _dump_interrupt(ddosim) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    """Run one simulation with the flag-built (or file-loaded) config,
-    optionally checkpointing it or resuming a killed run."""
+    """Run one simulation with the flag-built (or file-loaded) config."""
     from repro.obs import Observatory
 
     trace_out = getattr(args, "trace_out", None)
@@ -253,8 +250,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_writable(trace_out, metrics_out)
     # Full instrumentation only for the Chrome trace: the profiler's
     # wall-clock gauges would make a --metrics-out snapshot differ
-    # between two runs of the same config, and checkpoint/resume
-    # equivalence (repro chaos) compares those snapshots byte-for-byte.
+    # between two runs of the same config.
     if trace_out:
         observatory = Observatory.full()
     elif metrics_out:
@@ -262,42 +258,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         observatory = None
 
-    resume_from = getattr(args, "resume_from", None)
-    checkpoint_every = getattr(args, "checkpoint_every", None)
-    ddosim = None
+    ddosim = DDoSim(_config_from_args(args), observatory=observatory)
     try:
-        if resume_from:
-            from repro.checkpoint import resume_run
-
-            resumed = resume_run(resume_from, observatory=observatory)
-            ddosim, result = resumed.ddosim, resumed.result
-            anchor = resumed.checkpoint
-            print(
-                f"resumed from checkpoint tick {anchor['tick']} "
-                f"(t={anchor['t']:g}): replay verified "
-                f"{len(resumed.writer.verified)} barrier(s)",
-                file=sys.stderr,
-            )
-        else:
-            config = _config_from_args(args)
-            ddosim = DDoSim(config, observatory=observatory)
-            if checkpoint_every:
-                from repro.checkpoint import (
-                    DEFAULT_CHECKPOINT_DIR,
-                    CheckpointWriter,
-                )
-
-                writer = CheckpointWriter(
-                    getattr(args, "checkpoint_dir", None)
-                    or DEFAULT_CHECKPOINT_DIR,
-                    checkpoint_every,
-                    kill_after=getattr(args, "kill_after_checkpoint", None),
-                )
-                writer.arm(ddosim)
-            result = _build_run(ddosim).run()
+        result = _build_run(ddosim).run()
     except KeyboardInterrupt:
-        if ddosim is not None:
-            _dump_interrupt(ddosim)
+        _dump_interrupt(ddosim)
         return 130
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -466,6 +431,7 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
 
     with _config_errors():
         plan = load_fault_plan(args.plan)
+    _checked_devs((args.devs,))
     grid = tuple(args.grid) if args.grid else None
     kwargs = {"n_devs": args.devs, "seed": args.seed, "jobs": args.jobs,
               "cache": _cache_from_args(args),
@@ -482,6 +448,7 @@ def cmd_recruitment(args: argparse.Namespace) -> int:
     """Regenerate the R1/R2 recruitment matrix."""
     from repro.core.experiment import run_recruitment
 
+    _checked_devs((args.devs,))
     rows = run_recruitment(n_devs=args.devs, seed=args.seed, jobs=args.jobs,
                            cache=_cache_from_args(args),
                            telemetry=_telemetry_from_args(args, "recruitment"),
@@ -513,118 +480,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(f"evicted {evicted} cached runs "
               f"({cache.total_bytes()} bytes retained)")
     return 0
-
-
-def _chaos_run_flags(args: argparse.Namespace) -> List[str]:
-    """The child-run flags shared by every leg of the chaos harness."""
-    flags = [
-        "--devs", str(args.devs), "--seed", str(args.seed),
-        "--churn", args.churn, "--duration", str(args.duration),
-        "--binary-mix", args.binary_mix, "--payload", str(args.payload),
-        "--train", str(args.train),
-        "--flow", args.flow,
-    ]
-    if getattr(args, "faults", None):
-        flags += ["--faults", args.faults]
-    return flags
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Prove crash recovery end-to-end: run the scenario straight, then
-    SIGKILL an identical run right after a seeded checkpoint tick,
-    resume it from disk, and require the resumed run's result and
-    metrics files to be byte-identical to the straight run's.
-    """
-    import filecmp
-    import os
-    import random
-    import shutil
-    import signal as signal_module
-    import subprocess
-    import tempfile
-
-    import repro
-
-    every = args.checkpoint_every
-    workdir = tempfile.mkdtemp(prefix="repro-chaos-")
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    base = [sys.executable, "-m", "repro", "run", *_chaos_run_flags(args)]
-    paths = {
-        name: os.path.join(workdir, f"{name}.json")
-        for name in ("straight", "straight-metrics", "resumed",
-                     "resumed-metrics", "chaos", "chaos-metrics")
-    }
-    checkpoint_dir = os.path.join(workdir, "checkpoints")
-    try:
-        print(f"[chaos] workdir {workdir}")
-        print("[chaos] leg 1/3: straight run")
-        subprocess.run(
-            base + ["--json", paths["straight"],
-                    "--metrics-out", paths["straight-metrics"]],
-            check=True, env=env, stdout=subprocess.DEVNULL,
-        )
-        with open(paths["straight"], encoding="utf-8") as handle:
-            sim_end = json.load(handle)["sim_end_time"]
-        fired = int((sim_end - 1e-9) // every)
-        if fired < 1:
-            print(
-                f"[chaos] error: no checkpoint fires before the run ends "
-                f"at t={sim_end:g} — lower --checkpoint-every (now {every:g})",
-                file=sys.stderr,
-            )
-            return 2
-        # The kill point is seeded, not wall-clock: the harness itself
-        # must be reproducible.
-        kill_tick = random.Random(f"{args.seed}-chaos").randint(1, fired)
-        print(f"[chaos] leg 2/3: kill -9 after checkpoint tick "
-              f"{kill_tick}/{fired} (t={kill_tick * every:g})")
-        victim = subprocess.run(
-            base + ["--json", paths["chaos"],
-                    "--metrics-out", paths["chaos-metrics"],
-                    "--checkpoint-every", str(every),
-                    "--checkpoint-dir", checkpoint_dir,
-                    "--kill-after-checkpoint", str(kill_tick)],
-            env=env, stdout=subprocess.DEVNULL,
-        )
-        if victim.returncode != -signal_module.SIGKILL:
-            print(
-                f"[chaos] error: victim exited {victim.returncode}, "
-                f"expected SIGKILL ({-signal_module.SIGKILL})",
-                file=sys.stderr,
-            )
-            return 2
-        print("[chaos] leg 3/3: resume from checkpoint")
-        subprocess.run(
-            [sys.executable, "-m", "repro", "run",
-             "--resume-from", checkpoint_dir,
-             "--json", paths["resumed"],
-             "--metrics-out", paths["resumed-metrics"]],
-            check=True, env=env, stdout=subprocess.DEVNULL,
-        )
-        result_ok = filecmp.cmp(paths["straight"], paths["resumed"],
-                                shallow=False)
-        metrics_ok = filecmp.cmp(paths["straight-metrics"],
-                                 paths["resumed-metrics"], shallow=False)
-        print(f"[chaos] result bytes identical:  "
-              f"{'yes' if result_ok else 'NO'}")
-        print(f"[chaos] metrics bytes identical: "
-              f"{'yes' if metrics_ok else 'NO'}")
-        if result_ok and metrics_ok:
-            print(f"[chaos] PASS: killed at tick {kill_tick}, resumed run "
-                  f"is byte-identical to the uninterrupted run")
-            return 0
-        print("[chaos] FAIL: resumed run diverges from the straight run",
-              file=sys.stderr)
-        return 1
-    finally:
-        if getattr(args, "keep", False):
-            print(f"[chaos] kept {workdir}")
-        else:
-            shutil.rmtree(workdir, ignore_errors=True)
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
@@ -691,12 +546,18 @@ def cmd_verify_determinism(args: argparse.Namespace) -> int:
 
     from repro.simlint import verify_determinism
 
+    devs_grid = _devs_grid(args, (2, 4))
+    with _config_errors():
+        if args.jobs < 2:
+            raise ValueError(
+                f"--jobs must be at least 2: the parity check compares a "
+                f"serial sweep with a parallel one (got {args.jobs})"
+            )
     report = verify_determinism(
-        devs_grid=tuple(args.grid) if args.grid else (2, 4),
+        devs_grid=devs_grid,
         seed=args.seed,
         jobs=args.jobs,
         flow=args.flow,
-        resume=args.resume,
     )
     if args.format == "json":
         print(json_module.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -709,6 +570,7 @@ def cmd_epidemic(args: argparse.Namespace) -> int:
     """Run one propagation experiment and fit the SI model."""
     from repro.analysis.epidemic import fit_si_model, run_propagation_experiment
 
+    _checked_devs((args.devs,))
     result = run_propagation_experiment(
         n_devs=args.devs, seed=args.seed, duration=args.duration,
         probes_per_second=args.scan_rate,
@@ -744,22 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--metrics-out",
                             help="write a metrics-registry snapshot as JSON "
                                  "(enables metrics instrumentation)")
-    run_parser.add_argument("--checkpoint-every", type=float, metavar="N",
-                            help="write a resumable checkpoint every N "
-                                 "sim-seconds (repro.checkpoint)")
-    run_parser.add_argument("--checkpoint-dir",
-                            help="checkpoint directory (default: "
-                                 ".repro-checkpoints)")
-    run_parser.add_argument("--resume-from", metavar="PATH",
-                            help="resume from a checkpoint file or "
-                                 "directory (uses the config embedded in "
-                                 "the checkpoint; the finished run is "
-                                 "byte-identical to an uninterrupted one)")
-    run_parser.add_argument("--kill-after-checkpoint", type=int,
-                            metavar="TICK",
-                            help="chaos hook: SIGKILL this process "
-                                 "immediately after writing checkpoint "
-                                 "TICK")
     run_parser.set_defaults(func=cmd_run)
 
     obs_parser = commands.add_parser(
@@ -933,29 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
                                default="off",
                                help="run the gate with the fluid-flow "
                                     "datapath in the checked config")
-    verify_parser.add_argument("--resume", action="store_true",
-                               help="also prove checkpoint/resume "
-                                    "equivalence: checkpoint a run, "
-                                    "resume it, compare result + metrics "
-                                    "byte-for-byte")
     verify_parser.add_argument("--format", choices=("text", "json"),
                                default="text")
     verify_parser.set_defaults(func=cmd_verify_determinism)
-
-    chaos_parser = commands.add_parser(
-        "chaos",
-        help="crash-recovery proof: SIGKILL a run mid-flight, resume "
-             "from its checkpoint, require byte-identical results",
-    )
-    _add_common_run_args(chaos_parser)
-    chaos_parser.add_argument("--checkpoint-every", type=float, default=20.0,
-                              metavar="N",
-                              help="checkpoint cadence in sim-seconds "
-                                   "(default: 20)")
-    chaos_parser.add_argument("--keep", action="store_true",
-                              help="keep the chaos working directory "
-                                   "(checkpoints + result files)")
-    chaos_parser.set_defaults(func=cmd_chaos)
 
     epidemic_parser = commands.add_parser(
         "epidemic", help="worm propagation + SI fit (use case V-A2)"

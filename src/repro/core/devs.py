@@ -282,7 +282,7 @@ class DevFleet:
 
     def checkpoint_state(self) -> dict:
         """Deterministic fleet state (composition + per-dev link/attack
-        progress) for checkpoint fingerprints."""
+        progress) for state fingerprints."""
         offered_bytes, offered_packets = self.total_offered_attack()
         return {
             "online": self.online_count(),

@@ -252,7 +252,7 @@ class FaultInjector:
         self._armed = False
 
     def checkpoint_state(self) -> dict:
-        """Deterministic injection progress for checkpoint fingerprints
+        """Deterministic injection progress for state fingerprints
         (the RNG streams themselves are hashed by the framework)."""
         return {
             "injected": self.injected,

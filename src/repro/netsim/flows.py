@@ -318,7 +318,7 @@ class FlowEngine:
     def checkpoint_state(self) -> dict:
         """Deterministic engine state — epochs, every flow's exact byte
         accounting, and all fractional-packet remainder accumulators —
-        for checkpoint fingerprinting.  Read-only: no segment is closed.
+        for state fingerprinting.  Read-only: no segment is closed.
         """
 
         def flow_state(flow: FluidFlow) -> list:

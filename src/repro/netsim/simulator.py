@@ -339,7 +339,7 @@ class Simulator:
         return len(self._heap)
 
     def checkpoint_events(self):
-        """Every queued event — tombstones included — for checkpoint
+        """Every queued event — tombstones included — for state
         fingerprinting; iteration order is heap-internal, callers must
         sort by the (time, seq) key."""
         return (entry[2] for entry in self._heap)

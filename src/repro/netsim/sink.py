@@ -263,7 +263,7 @@ class PacketSink(Application):
         return records
 
     def checkpoint_state(self) -> dict:
-        """Deterministic histogram/flow/quantizer state for checkpoint
+        """Deterministic histogram/flow/quantizer state for state
         fingerprints (all dict iterations sorted by stable string keys)."""
         return {
             "bin_width": self.bin_width,

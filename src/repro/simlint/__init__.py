@@ -11,7 +11,8 @@ closures capturing loop variables, unused imports).  ``repro lint
 Dynamic half — a runtime sanitizer (scheduler tie-break audit, named
 RNG-stream accounting) and a double-run harness that executes a config
 twice and across ``--jobs`` and localizes the first diverging
-``repro.obs`` trace event.
+``repro.obs`` trace event, or the subsystem whose end-of-run state
+fingerprint drifted.
 
 CLI: ``repro lint`` and ``repro verify-determinism`` (both CI gates).
 """
@@ -52,6 +53,8 @@ from repro.simlint.verify import (
     DeterminismReport,
     Divergence,
     canonical_trace_lines,
+    capture_fingerprint,
+    diff_fingerprints,
     first_divergence,
     traced_run,
     verify_determinism,
@@ -89,6 +92,8 @@ __all__ = [
     "DeterminismReport",
     "Divergence",
     "canonical_trace_lines",
+    "capture_fingerprint",
+    "diff_fingerprints",
     "first_divergence",
     "traced_run",
     "verify_determinism",

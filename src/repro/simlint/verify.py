@@ -6,19 +6,18 @@ parallel sweeps stand on.  This harness *executes* the contract:
 
 1. **double-run**: run one config twice under a full trace observatory
    and compare the canonical trace (every ``repro.obs`` event, wall
-   clock stripped) plus the serialized :class:`RunResult`.  On a
-   mismatch it reports the **first diverging trace event** — the
-   closest observable to the root cause, since everything after it is
-   cascade.
+   clock stripped), the serialized :class:`RunResult`, and an
+   end-of-run **state fingerprint** — one digest per subsystem (clock,
+   event queue, named RNG streams, links, flows, botnet, fleet, faults,
+   sink, containers, metrics, spans).  On a trace mismatch it reports
+   the **first diverging trace event** — the closest observable to the
+   root cause, since everything after it is cascade; on a fingerprint
+   mismatch it names the subsystems that drifted, which catches state
+   that never reaches a trace event or a result field (an RNG stream
+   advanced one extra draw, say).
 2. **jobs**: run a figure-2-style sweep at ``jobs=1`` and ``jobs=N``
    and compare rows byte-for-byte, proving dispatch order cannot leak
    into results.
-3. **resume** (opt-in via ``--resume``): run one config straight, run
-   it again with checkpoints armed (:mod:`repro.checkpoint`), resume a
-   third run from the on-disk checkpoint, and require both the
-   checkpointed and the resumed runs' serialized results and metrics
-   snapshots to be byte-identical to the straight run's — the
-   checkpoint layer must be result-neutral AND recovery-exact.
 
 ``repro verify-determinism`` is a thin CLI over
 :func:`verify_determinism`; CI runs it on a small grid as a gate.
@@ -26,9 +25,13 @@ parallel sweeps stand on.  This harness *executes* the contract:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+#: recursion guard for argument description
+_MAX_DESCRIBE_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ class DeterminismReport:
                 lines.append(f"    run B: {div.right}")
         verdict = ("determinism contract holds: runs are bit-identical"
                    if self.identical else
-                   "DETERMINISM VIOLATION: see first diverging event above")
+                   "DETERMINISM VIOLATION: see the diverging check above")
         lines.append(verdict)
         return "\n".join(lines)
 
@@ -136,31 +139,179 @@ def first_divergence(left: Sequence[str], right: Sequence[str]) -> Optional[Dive
 
 
 # ----------------------------------------------------------------------
+# State fingerprint
+# ----------------------------------------------------------------------
+def state_digest(payload) -> str:
+    """SHA-256 over the canonical JSON encoding of ``payload``.
+
+    ``repr`` floats round-trip exactly under :func:`json.dumps`, so two
+    states digest equal iff every float/int/str in them is identical.
+    """
+    encoded = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def _rng_token(rng) -> Optional[str]:
+    """Compact digest of one random.Random's full Mersenne state."""
+    if rng is None:
+        return None
+    return hashlib.sha256(repr(rng.getstate()).encode("utf-8")).hexdigest()
+
+
+def _describe(value, depth: int = 0):
+    """A JSON-able, *deterministic* description of one scheduled-event
+    argument.
+
+    ``Packet.uid`` comes from a process-global counter, so packets are
+    described by their deterministic shape (size, count, spacing) and
+    never by identity.  Unknown objects degrade to ``[type, name]`` —
+    enough to catch a different object showing up at the same slot.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if depth >= _MAX_DESCRIBE_DEPTH:
+        return type(value).__name__
+    if isinstance(value, (list, tuple)):
+        return [_describe(item, depth + 1) for item in value]
+    from repro.netsim.packet import Packet
+
+    if isinstance(value, Packet):
+        return [
+            "pkt",
+            value.size,
+            getattr(value, "count", 1),
+            getattr(value, "spacing", 0.0),
+        ]
+    name = getattr(value, "name", None)
+    if isinstance(name, str):
+        return [type(value).__name__, name]
+    return [type(value).__name__, str(value) if isinstance(value, type) else ""]
+
+
+def _scheduler_entries(sim) -> List[list]:
+    """The pending event queue as ``[time, seq, cancelled, site, args]``
+    rows in total (time, seq) order — tombstones included, because a
+    cancelled-but-not-compacted entry still shifts heap internals."""
+    from repro.obs.profiler import site_of
+
+    entries = []
+    for event in sim.checkpoint_events():
+        args = [_describe(arg) for arg in event.args] if event.args else []
+        entries.append(
+            [
+                event.time,
+                event.seq,
+                1 if event.cancelled else 0,
+                site_of(event.callback) if event.callback is not None else "",
+                args,
+            ]
+        )
+    entries.sort(key=lambda row: (row[0], row[1]))
+    return entries
+
+
+def capture_fingerprint(ddosim) -> Dict[str, str]:
+    """Per-subsystem content hashes of one DDoSim's complete live state.
+
+    Keys are stable subsystem names; comparing two fingerprints key by
+    key (:func:`diff_fingerprints`) names the layer that drifted.  Take
+    it before :meth:`Observatory.export_metrics`, which folds the
+    profiler's wall-clock gauges into the metrics registry.
+    """
+    sim = ddosim.sim
+    fingerprint: Dict[str, str] = {}
+
+    fingerprint["clock"] = state_digest(
+        [sim.now, sim.events_executed, sim._seq, sim.pending_events]
+    )
+    fingerprint["scheduler"] = state_digest(_scheduler_entries(sim))
+    fingerprint["rng"] = state_digest(
+        [[name, _rng_token(rng)] for name, rng in ddosim.named_rngs()]
+    )
+
+    star = ddosim.star
+    fingerprint["network"] = state_digest(
+        star.checkpoint_state() if hasattr(star, "checkpoint_state") else []
+    )
+
+    engine = ddosim.flow_engine
+    fingerprint["flows"] = state_digest(
+        engine.checkpoint_state() if engine is not None else []
+    )
+
+    attacker = ddosim.attacker
+    fingerprint["botnet"] = state_digest(
+        {
+            "cnc": attacker.cnc.checkpoint_state(),
+            "exploits_delivered": attacker.exploits_delivered,
+            "leaks_harvested": attacker.leaks_harvested,
+        }
+    )
+    fingerprint["devs"] = state_digest(ddosim.devs.checkpoint_state())
+
+    injector = ddosim.fault_injector
+    fingerprint["faults"] = state_digest(
+        injector.checkpoint_state() if injector is not None else []
+    )
+
+    fingerprint["sink"] = state_digest(ddosim.tserver.sink.checkpoint_state())
+    fingerprint["containers"] = state_digest(
+        [
+            [name, container.state, container.memory_bytes()]
+            for name, container in ddosim.runtime.containers.items()
+        ]
+    )
+    fingerprint["metrics"] = state_digest(ddosim.obs.metrics.snapshot())
+    spans = ddosim.obs.spans
+    if getattr(spans, "enabled", False):
+        fingerprint["spans"] = state_digest(spans.canonical_json())
+    return fingerprint
+
+
+def diff_fingerprints(expected: Dict[str, str],
+                      actual: Dict[str, str]) -> List[str]:
+    """Subsystem names whose hashes differ (or exist on one side only)."""
+    names = set(expected) | set(actual)
+    return sorted(
+        name for name in names if expected.get(name) != actual.get(name)
+    )
+
+
+# ----------------------------------------------------------------------
 # Checks
 # ----------------------------------------------------------------------
-def traced_run(config) -> Tuple[str, List[str]]:
-    """(serialized RunResult, canonical trace lines) for one run."""
+def traced_run(config) -> Tuple[str, List[str], Dict[str, str]]:
+    """(serialized RunResult, canonical trace lines, end-of-run state
+    fingerprint) for one run."""
     from repro.core.framework import DDoSim
     from repro.obs import Observatory
     from repro.serialization import result_to_json
 
     ddosim = DDoSim(config, observatory=Observatory.full())
     result = ddosim.run()
-    return result_to_json(result), canonical_trace_lines(ddosim.obs.tracer)
+    return (
+        result_to_json(result),
+        canonical_trace_lines(ddosim.obs.tracer),
+        capture_fingerprint(ddosim),
+    )
 
 
 def verify_double_run(
     config,
-    run_fn: Callable[[object], Tuple[str, List[str]]] = traced_run,
+    run_fn: Callable[
+        [object], Tuple[str, List[str], Dict[str, str]]
+    ] = traced_run,
 ) -> CheckResult:
-    """Execute ``config`` twice; compare result bytes and full traces.
+    """Execute ``config`` twice; compare result bytes, full traces and
+    end-of-run state fingerprints.
 
     ``run_fn`` is injectable so the harness itself is testable: the
-    suite feeds it a deliberately nondeterministic runner and asserts
-    the first diverging event is localized exactly.
+    suite feeds it deliberately nondeterministic runners and asserts
+    the first diverging event, or the drifted subsystem, is localized
+    exactly.
     """
-    result_a, trace_a = run_fn(config)
-    result_b, trace_b = run_fn(config)
+    result_a, trace_a, fingerprint_a = run_fn(config)
+    result_b, trace_b, fingerprint_b = run_fn(config)
     divergence = first_divergence(trace_a, trace_b)
     if divergence is not None:
         return CheckResult(
@@ -177,9 +328,17 @@ def verify_double_run(
             ),
             detail="traces identical but serialized results differ",
         )
+    drifted = diff_fingerprints(fingerprint_a, fingerprint_b)
+    if drifted:
+        return CheckResult(
+            name="double-run", identical=False, compared=len(trace_a),
+            detail="traces and results identical but end-of-run state "
+                   "differs in: " + ", ".join(drifted),
+        )
     return CheckResult(
         name="double-run", identical=True, compared=len(trace_a),
-        detail=f"{len(trace_a)} trace events bit-identical",
+        detail=f"{len(trace_a)} trace events and {len(fingerprint_a)} "
+               f"subsystem fingerprints bit-identical",
     )
 
 
@@ -212,83 +371,12 @@ def verify_jobs(
     )
 
 
-def verify_resume(
-    config=None,
-    seed: int = 1,
-    flow: str = "off",
-    every: Optional[float] = None,
-) -> CheckResult:
-    """Checkpoint/resume equivalence as a determinism check.
-
-    Three runs of one config: straight, checkpointed (ticks every
-    ``every`` sim-seconds), and resumed from the last on-disk
-    checkpoint.  All three must serialize to identical result bytes and
-    identical metrics snapshots; a replay drift raises
-    :class:`repro.checkpoint.CheckpointDivergence` naming the subsystem.
-    """
-    import shutil
-    import tempfile
-
-    from repro.checkpoint import CheckpointWriter, resume_run
-    from repro.core.framework import DDoSim
-    from repro.obs import Observatory
-    from repro.serialization import result_to_json
-
-    if config is None:
-        from repro.core.config import SimulationConfig
-
-        config = SimulationConfig(n_devs=3, seed=seed, flood_flow=flow,
-                                  attack_duration=30.0, sim_duration=200.0)
-
-    def run_serialized(ddosim) -> Tuple[str, str]:
-        result = ddosim.run()
-        metrics = json.dumps(ddosim.obs.metrics.snapshot(), sort_keys=True)
-        return result_to_json(result), metrics
-
-    straight = DDoSim(config, observatory=Observatory())
-    straight_bytes = run_serialized(straight)
-    if every is None:
-        # Aim for ~3 ticks inside the run that just finished.
-        every = max(1.0, straight.sim.now / 4.0)
-    directory = tempfile.mkdtemp(prefix="repro-verify-resume-")
-    try:
-        checkpointed = DDoSim(config, observatory=Observatory())
-        CheckpointWriter(directory, every).arm(checkpointed)
-        checkpointed_bytes = run_serialized(checkpointed)
-        resumed = resume_run(directory, observatory=Observatory())
-        resumed_bytes = (
-            result_to_json(resumed.result),
-            json.dumps(resumed.ddosim.obs.metrics.snapshot(), sort_keys=True),
-        )
-        ticks = len(resumed.writer.verified)
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
-    for name, other in (("checkpointed", checkpointed_bytes),
-                        ("resumed", resumed_bytes)):
-        if other != straight_bytes:
-            which = "result" if other[0] != straight_bytes[0] else "metrics"
-            return CheckResult(
-                name="resume", identical=False, compared=ticks,
-                divergence=first_divergence(
-                    straight_bytes[0 if which == "result" else 1].splitlines(),
-                    other[0 if which == "result" else 1].splitlines(),
-                ),
-                detail=f"{name} run's {which} bytes differ from straight run",
-            )
-    return CheckResult(
-        name="resume", identical=True, compared=ticks,
-        detail=f"straight == checkpointed == resumed "
-               f"({ticks} barrier(s) verified on replay)",
-    )
-
-
 def verify_determinism(
     config=None,
     devs_grid: Sequence[int] = (2, 4),
     seed: int = 1,
     jobs: int = 4,
     flow: str = "off",
-    resume: bool = False,
 ) -> DeterminismReport:
     """The full gate: double-run trace identity + jobs row identity.
 
@@ -311,6 +399,4 @@ def verify_determinism(
     report.checks.append(verify_double_run(config))
     report.checks.append(verify_jobs(devs_grid=devs_grid, seed=seed, jobs=jobs,
                                      base_config=base_config))
-    if resume:
-        report.checks.append(verify_resume(seed=seed, flow=flow))
     return report

@@ -18,6 +18,10 @@ from repro.serialization import (
     rows_to_csv,
 )
 
+FAULT_PLAN = os.path.join(
+    os.path.dirname(__file__), os.pardir, "examples", "fault_plan.json"
+)
+
 
 class TestConfigSerialization:
     def test_roundtrip_defaults(self):
@@ -136,6 +140,13 @@ class TestCli:
         (["figure4", "--grid", "0"], "n_devs must be positive"),
         (["report", "--figure2", "--grid", "0", "--out", os.devnull],
          "n_devs must be positive"),
+        (["verify-determinism", "--grid", "0"], "n_devs must be positive"),
+        (["faultsweep", "--devs", "0", "--plan", FAULT_PLAN],
+         "n_devs must be positive"),
+        (["epidemic", "--devs", "0"], "n_devs must be positive"),
+        (["recruitment", "--devs", "0"], "n_devs must be positive"),
+        (["verify-determinism", "--jobs", "0"], "--jobs must be at least 2"),
+        (["verify-determinism", "--jobs", "1"], "--jobs must be at least 2"),
     ])
     def test_bad_config_is_a_one_line_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as excinfo:
@@ -158,10 +169,24 @@ class TestCli:
     #: knobs deleted from the CLI and SimulationConfig
     REMOVED_KNOBS = ["scheduler"]
 
-    @pytest.mark.parametrize("knob", REMOVED_KNOBS)
-    def test_removed_flag_is_rejected(self, knob):
+    #: flags and subcommands deleted from the CLI only (never config
+    #: fields), as ``(test id, argv)``
+    REMOVED_CLI = [
+        ("checkpoint-every", ["run", "--checkpoint-every", "20"]),
+        ("checkpoint-dir", ["run", "--checkpoint-dir", "ckpt"]),
+        ("resume-from", ["run", "--resume-from", "ckpt"]),
+        ("kill-after-checkpoint", ["run", "--kill-after-checkpoint", "1"]),
+        ("verify-resume", ["verify-determinism", "--resume"]),
+        ("chaos", ["chaos"]),
+    ]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", f"--{knob}", "calendar"], id=knob)
+        for knob in REMOVED_KNOBS
+    ] + [pytest.param(argv, id=name) for name, argv in REMOVED_CLI])
+    def test_removed_flag_is_rejected(self, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", f"--{knob}", "calendar"])
+            main(argv)
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("knob", REMOVED_KNOBS)

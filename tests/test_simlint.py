@@ -8,7 +8,8 @@ Three layers:
   JSON reporter round-trip, the clock allowlist;
 * the runtime sanitizer — TieBreakAuditor tie accounting, RngStreamGuard
   stream/draw accounting, and the double-run harness localizing an
-  injected divergence.
+  injected divergence (a trace event, a result field, or hidden state
+  only the end-of-run fingerprint sees).
 
 The suite ends with the gate itself: the repo's own ``src/repro`` tree
 must lint clean with every rule enabled.
@@ -19,6 +20,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import SimulationConfig
+from repro.core.framework import DDoSim
+from repro.faults import FaultPlan, FaultSpec
+from repro.obs import Observatory
+from repro.serialization import result_to_json
 from repro.simlint import (
     CheckResult,
     Divergence,
@@ -28,6 +34,9 @@ from repro.simlint import (
     Violation,
     all_codes,
     apply_baseline,
+    canonical_trace_lines,
+    capture_fingerprint,
+    diff_fingerprints,
     filter_codes,
     first_divergence,
     fix_source,
@@ -38,6 +47,7 @@ from repro.simlint import (
     lint_source,
     load_baseline,
     parse_suppressions,
+    traced_run,
     verify_double_run,
     violations_from_json,
     write_baseline,
@@ -456,10 +466,38 @@ class TestFirstDivergence:
         assert divergence.right == "extra"
 
 
+def _config(**overrides):
+    base = dict(n_devs=3, seed=5, attack_duration=20.0, sim_duration=160.0)
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+#: link faults active mid-attack, so link-down / degrade state must
+#: come out identical in both runs
+_FAULT_PLAN = FaultPlan(
+    faults=(
+        FaultSpec(kind="link_down", target="dev*", at=30.0, duration=20.0,
+                  pick=1),
+        FaultSpec(kind="link_degrade", target="dev*", at=25.0, duration=30.0,
+                  loss_rate=0.05),
+    )
+)
+
+_HARD_CASES = {
+    "packet": _config(),
+    "flow-auto": _config(flood_flow="auto"),
+    "flow-all": _config(flood_flow="all"),
+    "train": _config(flood_train=8),
+    "faults": _config(faults=_FAULT_PLAN),
+    "churn-faults-flow": _config(churn="dynamic", flood_flow="auto",
+                                 faults=_FAULT_PLAN),
+}
+
+
 class TestVerifyDoubleRun:
     def test_deterministic_runner_passes(self):
         def run_fn(config):
-            return "result", ["event-0", "event-1"]
+            return "result", ["event-0", "event-1"], {"clock": "a"}
 
         check = verify_double_run(None, run_fn=run_fn)
         assert isinstance(check, CheckResult)
@@ -474,7 +512,7 @@ class TestVerifyDoubleRun:
             # Second run flips event #2 — the harness must name exactly it.
             tag = "A" if len(calls) == 1 else "B"
             return "result", ["event-0", "event-1", f"event-2-{tag}",
-                              "event-3"]
+                              "event-3"], {"clock": "a"}
 
         check = verify_double_run(None, run_fn=run_fn)
         assert not check.identical
@@ -487,11 +525,67 @@ class TestVerifyDoubleRun:
 
         def run_fn(config):
             calls.append(None)
-            return f"result-{len(calls)}", ["event-0"]
+            return f"result-{len(calls)}", ["event-0"], {"clock": "a"}
 
         check = verify_double_run(None, run_fn=run_fn)
         assert not check.identical
         assert "results differ" in check.detail
+
+    @pytest.mark.parametrize("case", sorted(_HARD_CASES))
+    def test_real_runs_are_identical(self, case):
+        check = verify_double_run(_HARD_CASES[case], run_fn=traced_run)
+        assert check.identical, check.to_dict()
+        assert check.compared > 0
+
+    def test_hidden_rng_drift_is_named(self):
+        """One extra draw on the credentials stream after the run reaches
+        no trace event and no result field; only the fingerprint sees
+        it."""
+        calls = []
+
+        def run_fn(config):
+            calls.append(None)
+            ddosim = DDoSim(config, observatory=Observatory.full())
+            result = ddosim.run()
+            if len(calls) == 2:
+                ddosim.devs._credential_rng.random()
+            return (
+                result_to_json(result),
+                canonical_trace_lines(ddosim.obs.tracer),
+                capture_fingerprint(ddosim),
+            )
+
+        check = verify_double_run(
+            SimulationConfig(n_devs=2, seed=1, attack_duration=10.0,
+                             sim_duration=120.0),
+            run_fn=run_fn,
+        )
+        assert not check.identical
+        assert check.detail.endswith("differs in: rng")
+
+
+class TestFingerprintDeterminism:
+    def test_fingerprint_diff_names_only_changed_subsystems(self):
+        left = {"clock": "a", "sink": "b"}
+        right = {"clock": "a", "sink": "c", "extra": "d"}
+        assert diff_fingerprints(left, right) == ["extra", "sink"]
+
+    def test_identical_builds_fingerprint_identically(self):
+        config = SimulationConfig(n_devs=2, seed=9, attack_duration=10.0,
+                                  sim_duration=120.0)
+        left = capture_fingerprint(DDoSim(config, observatory=Observatory()))
+        right = capture_fingerprint(DDoSim(config, observatory=Observatory()))
+        assert left == right
+
+    def test_different_seed_fingerprints_differently(self):
+        base = dict(n_devs=2, attack_duration=10.0, sim_duration=120.0)
+        left = capture_fingerprint(
+            DDoSim(SimulationConfig(seed=1, **base), observatory=Observatory())
+        )
+        right = capture_fingerprint(
+            DDoSim(SimulationConfig(seed=2, **base), observatory=Observatory())
+        )
+        assert diff_fingerprints(left, right)
 
 
 # ----------------------------------------------------------------------
