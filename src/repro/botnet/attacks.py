@@ -82,31 +82,22 @@ def udp_plain_flood(
     rate_bps: Optional[float] = None,
     stats: Optional[AttackStats] = None,
     src_port: Optional[int] = None,
-    train: int = 1,
     span: Optional[str] = None,
 ):
     """Generator: flood ``target`` with UDP junk for ``duration`` seconds.
 
     ``span`` (a causal span ID) is stamped onto every emitted packet so
-    queues and the sink attribute drops/deliveries back to this train.
+    queues and the sink attribute drops/deliveries back to this flood.
 
     Packets carry a virtual payload (size only, no bytes) — the flood's
     effect is entirely in its wire footprint.  The emission rate defaults
     to the bot's own access-link rate (its uplink is the binding
     constraint for 100-500 kbps IoT devices).
-
-    ``train`` > 1 batches emission: each wakeup sends one
-    :class:`~repro.netsim.packet.PacketTrain` of ``train`` packets and
-    sleeps ``train`` intervals, cutting scheduler events per packet by
-    ~the train size at the same paced wire rate.  ``train=1`` is the
-    exact per-packet path.
     """
     from repro.netsim.process import Timeout
 
     if stats is None:
         stats = AttackStats()
-    if train < 1:
-        raise ValueError("train size must be >= 1")
     rate = rate_bps if rate_bps is not None else _device_rate_bps(node)
     wire_size = payload_size + _udp_wire_overhead(target)
     interval = wire_size * 8.0 / rate
@@ -115,25 +106,14 @@ def udp_plain_flood(
     sport = src_port if src_port is not None else udp.allocate_ephemeral_port()
     stats.started_at = sim.now
     deadline = sim.now + duration
-    if train == 1:
-        while sim.now < deadline:
-            udp.send_datagram(
-                None, target, target_port, src_port=sport,
-                payload_size=payload_size, span=span,
-            )
-            stats.packets_sent += 1
-            stats.bytes_sent += wire_size  # wire bytes, comparable to the sink's
-            yield Timeout(sim, interval)
-    else:
-        wakeup = interval * train
-        while sim.now < deadline:
-            udp.send_train(
-                target, target_port, train, src_port=sport,
-                payload_size=payload_size, span=span,
-            )
-            stats.packets_sent += train
-            stats.bytes_sent += wire_size * train
-            yield Timeout(sim, wakeup)
+    while sim.now < deadline:
+        udp.send_datagram(
+            None, target, target_port, src_port=sport,
+            payload_size=payload_size, span=span,
+        )
+        stats.packets_sent += 1
+        stats.bytes_sent += wire_size  # wire bytes, comparable to the sink's
+        yield Timeout(sim, interval)
     stats.finished_at = sim.now
     return stats
 
@@ -152,7 +132,7 @@ def udp_plain_flow(
     """Generator: the fluid-flow udpplain datapath.
 
     Same contract as :func:`udp_plain_flood`, but instead of scheduling
-    one event per packet (or train), the whole steady flood becomes one
+    one event per packet, the whole steady flood becomes one
     :class:`~repro.netsim.flows.FluidFlow` on the simulator's
     :class:`~repro.netsim.flows.FlowEngine` — the generator sleeps for
     the full duration while the engine integrates the flow analytically,

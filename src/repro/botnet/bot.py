@@ -204,7 +204,6 @@ def _dispatch(ctx, sock, line: str, attack_processes: List[SimProcess]) -> None:
             return
         method, target_text, port_text, duration_text = arguments[:4]
         payload_size = int(arguments[4]) if len(arguments) > 4 else 512
-        train = int(arguments[5]) if len(arguments) > 5 else 1
         flow_mode = arguments[6] if len(arguments) > 6 else "off"
         vector = ATTACK_VECTORS.get(method)
         if vector is None:
@@ -227,7 +226,7 @@ def _dispatch(ctx, sock, line: str, attack_processes: List[SimProcess]) -> None:
             )
         if method == "udpplain" and flow_mode != "off" and ctx.sim.flows is not None:
             # Fluid datapath: the flood becomes one FluidFlow on the
-            # engine instead of per-packet/train events.
+            # engine instead of per-packet events.
             flood = udp_plain_flow(
                 ctx.netns.node,
                 _parse_address(target_text),
@@ -245,7 +244,6 @@ def _dispatch(ctx, sock, line: str, attack_processes: List[SimProcess]) -> None:
                 float(duration_text),
                 payload_size=payload_size,
                 stats=stats,
-                train=train,
                 span=span.span_id if span is not None else None,
             )
         else:

@@ -302,24 +302,19 @@ class CncServer:
         duration: float,
         payload_size: int = 512,
         method: str = "udpplain",
-        train: int = 1,
         flow: str = "off",
     ) -> AttackOrder:
         """Broadcast an attack order; returns the recorded order.
 
-        ``train`` > 1 is appended as an optional sixth argument (older
-        bots that only parse five simply flood unbatched).  ``flow``
-        other than "off" selects the fluid datapath and rides as a
-        seventh argument — the train slot is then always emitted so the
-        positions stay fixed; with ``flow == "off"`` the wire format
-        (and hence the simulated TCP byte stream) is exactly the
-        pre-fluid one.
+        ``flow`` other than "off" selects the fluid datapath and rides
+        as the seventh argument after a fixed ``1`` in the sixth slot
+        (bots read the flow token by position); with ``flow == "off"``
+        the order carries five arguments.  The ``1`` is kept because it
+        is part of the simulated TCP byte stream.
         """
         line = f"ATTACK {method} {target} {port} {duration:g} {payload_size}"
         if flow != "off":
-            line = f"{line} {train} {flow}"
-        elif train > 1:
-            line = f"{line} {train}"
+            line = f"{line} 1 {flow}"
         sent = self.broadcast(line)
         if self._sim is not None:
             obs = self._sim.obs

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -70,9 +71,6 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
                         default="mixed")
     parser.add_argument("--payload", type=int, default=512,
                         help="UDP-PLAIN payload size (bytes)")
-    parser.add_argument("--train", type=int, default=1,
-                        help="flood packet-train size (1 = exact "
-                             "per-packet datapath)")
     parser.add_argument("--flow", choices=("off", "auto", "all"),
                         default="off",
                         help="fluid-flow crossover: off = exact packet "
@@ -86,13 +84,17 @@ def _add_common_run_args(parser: argparse.ArgumentParser) -> None:
 
 @contextmanager
 def _config_errors():
-    """Report a ValueError raised while building a run's configuration
-    as one ``error: <message>`` line on stderr and exit status 2, the
-    way argparse reports a bad flag."""
+    """Report a ValueError raised while building a run's configuration,
+    or an OSError on one of its files, as one ``error: <message>`` line
+    on stderr and exit status 2, the way argparse reports a bad flag."""
     try:
         yield
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    except OSError as exc:
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -110,7 +112,6 @@ def _config_from_args(args: argparse.Namespace) -> SimulationConfig:
             binary_mix=args.binary_mix,
             attack_payload_size=args.payload,
             sim_duration=max(600.0, args.duration + 150.0),
-            flood_train=args.train,
             flood_flow=args.flow,
         )
     if getattr(args, "faults", None):
@@ -221,12 +222,17 @@ def _supervision_from_args(args: argparse.Namespace):
     return Supervision(**kwargs)
 
 
+@_config_errors()
 def _check_writable(*paths: Optional[str]) -> None:
-    """Fail before the (possibly long) run, not after, on bad out paths."""
+    """Fail before the (possibly long) run, not after, on bad out paths.
+    An existing file keeps its contents and no new file is left behind."""
     for path in paths:
         if path:
-            with open(path, "w", encoding="utf-8"):
+            existed = os.path.exists(path)
+            with open(path, "a", encoding="utf-8"):
                 pass
+            if not existed:
+                os.remove(path)
 
 
 def _dump_interrupt(ddosim) -> None:
@@ -247,6 +253,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
+    config = _config_from_args(args)
     _check_writable(trace_out, metrics_out)
     # Full instrumentation only for the Chrome trace: the profiler's
     # wall-clock gauges would make a --metrics-out snapshot differ
@@ -258,7 +265,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         observatory = None
 
-    ddosim = DDoSim(_config_from_args(args), observatory=observatory)
+    ddosim = DDoSim(config, observatory=observatory)
     try:
         result = _build_run(ddosim).run()
     except KeyboardInterrupt:
@@ -327,11 +334,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     flows_out = getattr(args, "flows", None)
+    if args.figure2:
+        devs_grid = _devs_grid(args, (10, 50, 100, 150))
+    else:
+        config = _config_from_args(args)
     _check_writable(args.out, flows_out)
     if args.figure2:
         from repro.core.experiment import FIGURE2_CHURN, run_figure2
 
-        devs_grid = _devs_grid(args, (10, 50, 100, 150))
         telemetry = _telemetry_from_args(args, "figure2")
         rows = run_figure2(devs_grid=devs_grid, churn_modes=FIGURE2_CHURN,
                            seed=args.seed, jobs=args.jobs,
@@ -345,7 +355,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             print("note: --flows applies to single-run reports only",
                   file=sys.stderr)
     else:
-        config = _config_from_args(args)
         ddosim = _build_run(DDoSim(config, observatory=Observatory.full()))
         result = ddosim.run()
         obs = ddosim.obs

@@ -120,10 +120,7 @@ class SimulationConfig:
     queue_packets: int = 100
 
     # --- Engine performance knobs --------------------------------------
-    #: flood packet-train size: each bot wakeup emits this many packets
-    #: as one scheduled unit (1 = exact per-packet seed behaviour)
-    flood_train: int = 1
-    #: fluid-flow crossover: "off" (exact packet/train datapath), "auto"
+    #: fluid-flow crossover: "off" (exact packet datapath), "auto"
     #: (fluid upstream, packet-exact at the bottleneck/sink last hop) or
     #: "all" (fully analytic flood, zero per-packet events)
     flood_flow: str = "off"
@@ -172,8 +169,6 @@ class SimulationConfig:
                 raise ValueError(
                     f"faults must be a FaultPlan or dict, got {type(self.faults).__name__}"
                 )
-        if self.flood_train < 1:
-            raise ValueError("flood_train must be >= 1")
         from repro.netsim.flows import FLOW_MODES
 
         if self.flood_flow not in FLOW_MODES:

@@ -124,10 +124,7 @@ class DDoSim:
         if config.flood_flow != "off":
             from repro.netsim.flows import FlowEngine
 
-            self.flow_engine = FlowEngine(
-                self.sim, mode=config.flood_flow,
-                train=max(config.flood_train, 1),
-            )
+            self.flow_engine = FlowEngine(self.sim, mode=config.flood_flow)
 
         # Filled in during run().
         self._pre_attack_container_bytes = 0
@@ -281,7 +278,6 @@ class DDoSim:
             config.attack_port,
             config.attack_duration,
             config.attack_payload_size,
-            train=config.flood_train,
             flow=config.flood_flow,
         )
         self._attack_issued_at = order.issued_at

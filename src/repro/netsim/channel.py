@@ -136,42 +136,26 @@ class PointToPointChannel(Channel):
         peer = self.peer_of(sender)
         if peer is None:
             raise RuntimeError("point-to-point channel is not fully wired")
-        count = packet.count
         if self.loss_rate > 0.0 and self._rng is not None:
-            # One Bernoulli draw per member packet, so the RNG stream is
-            # identical whatever the train size; survivors travel on as
-            # one (shrunk) train.
-            rng = self._rng
-            rate = self.loss_rate
-            survivors = sum(1 for _ in range(count) if rng.random() >= rate)
-            lost = count - survivors
-            if lost:
-                self.packets_lost += lost
-                self._loss_packets.inc(lost)
-                if survivors == 0:
-                    return
-                packet = packet.copy()
-                packet.count = count = survivors
-        self.packets_carried += count
-        self._tx_packets.inc(count)
-        self._tx_bytes.inc(packet.size * count)
+            if self._rng.random() < self.loss_rate:
+                self.packets_lost += 1
+                self._loss_packets.inc()
+                return
+        self.packets_carried += 1
+        self._tx_packets.inc()
+        self._tx_bytes.inc(packet.size)
         if self._tracer.enabled:
             if packet.span is not None:
                 self._tracer.emit(
                     "link.tx", self.sim.now,
-                    sender=sender.name, size=packet.size, count=count,
+                    sender=sender.name, size=packet.size, count=1,
                     delay=self.delay, span=packet.span,
                 )
             else:
                 self._tracer.emit(
                     "link.tx", self.sim.now,
-                    sender=sender.name, size=packet.size, count=count,
+                    sender=sender.name, size=packet.size, count=1,
                     delay=self.delay,
                 )
-        if count > 1:
-            # Last-hop propagation delay, so the sink can reconstruct
-            # each member's arrival with the exact op sequence the
-            # per-packet path uses (completion + delay, one add).
-            packet.link_delay = self.delay
         # Receive events are never cancelled: fire-and-forget freelist path.
         self.sim.schedule_bare(self.delay, peer.receive, packet)

@@ -1,12 +1,11 @@
 """Fluid-flow datapath: analytic steady-state flood traffic.
 
-The packet path (even train-batched, :mod:`repro.netsim.packet`) costs
-one scheduled event per train per hop, which bounds how many flood
-packets a run can afford.  A steady UDP-PLAIN flood, however, is fully
-described by a handful of numbers — wire rate, packet size, source,
-target, start/stop — so this module represents it as a
-:class:`FluidFlow` and solves the network analytically instead of
-scheduling its packets.
+The packet path costs one scheduled event per packet per hop, which
+bounds how many flood packets a run can afford.  A steady UDP-PLAIN
+flood, however, is fully described by a handful of numbers — wire
+rate, packet size, source, target, start/stop — so this module
+represents it as a :class:`FluidFlow` and solves the network
+analytically instead of scheduling its packets.
 
 The solver is piecewise-constant: between *epochs* (flow start/stop,
 link up/down/degrade from churn or :mod:`repro.faults`, sink
@@ -27,14 +26,13 @@ remainder accumulators, so totals never drift.
 
 Crossover modes (``SimulationConfig.flood_flow`` / ``--flow``):
 
-* ``off``  — no engine at all; the exact packet/train datapath.
+* ``off``  — no engine at all; the exact packet datapath.
 * ``auto`` — hybrid: upstream hops (each bot's access link, typically
   uncongested because floods pace at the link rate) are fluid, while
   the *last* hop — the congested bottleneck queue in front of the sink
-  — receives real :class:`~repro.netsim.packet.PacketTrain` injections
-  at the upstream-surviving rate, keeping packet-exact drop-tail
-  behaviour and per-packet sink arrival times where congestion decides
-  the result.
+  — receives real packets injected at the upstream-surviving rate,
+  keeping packet-exact drop-tail behaviour and per-packet sink arrival
+  times where congestion decides the result.
 * ``all``  — fully fluid end to end; the sink is credited analytically.
 
 Known approximations (all expectation-neutral): flows do not contend
@@ -51,13 +49,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.netsim.address import Address, Ipv6Address
 from repro.netsim.headers import PROTO_UDP, UdpHeader, ip_header_for
-from repro.netsim.packet import PacketTrain
+from repro.netsim.packet import Packet
 
 #: crossover knob values (config ``flood_flow`` / CLI ``--flow``)
 FLOW_MODES = ("off", "auto", "all")
-
-#: packets per train injected at the crossover hop in ``auto`` mode
-CROSSOVER_TRAIN = 16
 
 #: safety bound on fluid path resolution
 MAX_PATH_HOPS = 16
@@ -202,12 +197,11 @@ class FlowEngine:
     final :meth:`flush` — closes the current constant-rate segment.
     """
 
-    def __init__(self, sim, mode: str = "all", train: int = CROSSOVER_TRAIN):
+    def __init__(self, sim, mode: str = "all"):
         if mode not in FLOW_MODES or mode == "off":
             raise ValueError(f"flow engine mode must be 'auto' or 'all', got {mode!r}")
         self.sim = sim
         self.mode = mode
-        self.train = max(1, int(train))
         self.flows: List[FluidFlow] = []
         self.finished: List[FluidFlow] = []
         self.epochs = 0
@@ -574,28 +568,27 @@ class FlowEngine:
     # Crossover injection (auto mode)
     # ------------------------------------------------------------------
     def _ensure_injector(self, flow: FluidFlow) -> None:
-        """(Re)start the packet-train injector feeding the crossover hop."""
+        """(Re)start the packet injector feeding the crossover hop."""
         if flow._injecting or flow.inject_rate_bps <= 0.0 or not flow.active:
             return
         flow._injecting = True
         if flow._inject_started:
             delay = self._inject_interval(flow)
         else:
-            # First train reaches the bottleneck after the upstream
+            # First packet reaches the bottleneck after the upstream
             # propagation latency, like the packet path's first packet.
             flow._inject_started = True
             delay = flow._seg_latency
         self.sim.schedule_bare(delay, self._inject, flow)
 
     def _inject_interval(self, flow: FluidFlow) -> float:
-        return self.train * flow.packet_size * 8.0 / flow.inject_rate_bps
+        return flow.packet_size * 8.0 / flow.inject_rate_bps
 
     def _inject(self, flow: FluidFlow) -> None:
         if not flow.active or flow.inject_rate_bps <= 0.0:
             flow._injecting = False
             return
-        packet = PacketTrain(flow.payload_size, self.train,
-                             created_at=self.sim.now)
+        packet = Packet(None, flow.payload_size, created_at=self.sim.now)
         if flow.span is not None:
             packet.span = flow.span
         packet.add_header(UdpHeader(flow.src_port, flow.dst_port))
@@ -604,7 +597,7 @@ class FlowEngine:
         )
         device = flow.inject_device
         if device.send(packet):
-            flow.delivered_bytes += packet.size * packet.count
+            flow.delivered_bytes += packet.size
         self.sim.schedule_bare(self._inject_interval(flow), self._inject, flow)
 
     # ------------------------------------------------------------------

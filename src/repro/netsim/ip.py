@@ -161,7 +161,7 @@ class IpStack:
             return self._send_multicast(packet, header)
         device = self._egress_for(destination)
         if device is None:
-            self.dropped_no_route += packet.count
+            self.dropped_no_route += 1
             return False
         return device.send(packet)
 
@@ -172,7 +172,7 @@ class IpStack:
             self.sim.schedule_now(self._deliver, packet.copy(), header)
         device = self._egress_for(header.dst)
         if device is None:
-            self.dropped_no_route += packet.count
+            self.dropped_no_route += 1
             return False
         return device.send(packet)
 
@@ -191,7 +191,7 @@ class IpStack:
             self._deliver(packet, header)
             return
         if not self.forwarding:
-            self.dropped_no_route += packet.count
+            self.dropped_no_route += 1
             return
         self._forward(packet, header, ingress)
 
@@ -206,25 +206,25 @@ class IpStack:
                 if device is ingress:
                     continue
                 clone = packet.copy()
-                self.forwarded += clone.count
+                self.forwarded += 1
                 device.send(clone)
         elif not delivered:
-            self.dropped_no_route += packet.count
+            self.dropped_no_route += 1
 
     def _forward(self, packet: Packet, header, ingress: NetDevice) -> None:
         if header.ttl <= 1:
-            self.dropped_ttl += packet.count
+            self.dropped_ttl += 1
             return
         header.ttl -= 1
         device = self._egress_for(header.dst)
         if device is None or device is ingress:
-            self.dropped_no_route += packet.count
+            self.dropped_no_route += 1
             return
-        self.forwarded += packet.count
+        self.forwarded += 1
         device.send(packet)
 
     def _deliver(self, packet: Packet, header) -> None:
-        self.delivered += packet.count
+        self.delivered += 1
         for tap in self.delivery_taps:
             tap(packet, header)
         packet.remove_header(type(header))
@@ -234,4 +234,4 @@ class IpStack:
         elif protocol == PROTO_TCP:
             self.tcp.receive(packet, header)
         else:
-            self.dropped_no_transport += packet.count
+            self.dropped_no_transport += 1

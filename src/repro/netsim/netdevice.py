@@ -55,10 +55,10 @@ class NetDevice:
     def receive(self, packet: Packet) -> None:
         """Deliver an arriving packet up to the node's IP layer."""
         if not self.up:
-            self.drops_down += packet.count
+            self.drops_down += 1
             return
-        self.rx_packets += packet.count
-        self.rx_bytes += packet.size * packet.count
+        self.rx_packets += 1
+        self.rx_bytes += packet.size
         if self.node is not None:
             self.node.ip.receive(packet, self)
 
@@ -127,7 +127,7 @@ class PointToPointDevice(NetDevice):
     def send(self, packet: Packet) -> bool:
         """Queue ``packet`` for transmission; False when dropped."""
         if not self.up:
-            self.drops_down += packet.count
+            self.drops_down += 1
             return False
         if not self.queue.enqueue(packet):
             return False
@@ -141,34 +141,18 @@ class PointToPointDevice(NetDevice):
             self._transmitting = False
             return
         self._transmitting = True
-        # Per-packet serialization delay; a train occupies the wire for
-        # count packets back to back.  Completion events are never
-        # cancelled, so the fire-and-forget freelist path applies.
+        # Serialization delay.  Completion events are never cancelled,
+        # so the fire-and-forget freelist path applies.
         tx_delay = packet.size * 8.0 / self.data_rate_bps
-        count = packet.count
-        if count > 1:
-            # Serialize the train with the same float-add chain the
-            # per-packet path produces (one add per member), not a
-            # single `tx_delay * count` multiply: the rounding differs,
-            # and a member arrival landing an ulp across a bin boundary
-            # breaks the train == per-packet bit-identity contract.
-            # The start time and per-member spacing are stamped so the
-            # sink can replay the exact chain for every member.
-            packet.spacing = tx_delay
-            packet.tx_start = completion = self.sim.now
-            for _ in range(count):
-                completion += tx_delay
-            self.sim.schedule_bare_at(completion, self._transmit_complete, packet)
-        else:
-            self.sim.schedule_bare(tx_delay, self._transmit_complete, packet)
+        self.sim.schedule_bare(tx_delay, self._transmit_complete, packet)
 
     def _transmit_complete(self, packet: Packet) -> None:
         if self.up and self.channel is not None:
-            self.tx_packets += packet.count
-            self.tx_bytes += packet.size * packet.count
+            self.tx_packets += 1
+            self.tx_bytes += packet.size
             self.channel.transmit(self, packet)
         else:
-            self.drops_down += packet.count
+            self.drops_down += 1
         self._transmit_next()
 
     def set_down(self) -> None:

@@ -11,10 +11,7 @@ A :class:`Packet` carries:
 * a header stack — transport/network/link headers pushed on send and
   popped on receive, mirroring ``Packet::AddHeader``/``RemoveHeader``.
 
-:class:`PacketTrain` extends this for the flood fast path: one packet
-object standing in for ``count`` identical back-to-back packets, so the
-datapath schedules one event per train instead of one per packet while
-queues/sinks still account every packet exactly.
+One packet object is one wire packet everywhere in the datapath.
 """
 
 from __future__ import annotations
@@ -40,18 +37,6 @@ class Packet:
 
     __slots__ = ("uid", "payload", "payload_size", "headers", "created_at",
                  "span", "_size")
-
-    #: how many wire packets this object represents (PacketTrain overrides)
-    count: int = 1
-    #: inter-packet gap within a train, seconds (stamped by the last
-    #: serializing device; 0.0 for ordinary packets)
-    spacing: float = 0.0
-    #: absolute time the last serializing device began transmitting the
-    #: train (None when the carrying device does not stamp it)
-    tx_start: Optional[float] = None
-    #: propagation delay of the last carrying channel (None when the
-    #: channel does not stamp it)
-    link_delay: Optional[float] = None
 
     def __init__(
         self,
@@ -105,15 +90,8 @@ class Packet:
 
     @property
     def size(self) -> int:
-        """Wire size in bytes of *one* packet: payload plus all pushed
-        headers (for a train, the per-packet size — use ``total_size``
-        for bytes on the wire)."""
+        """Wire size in bytes: payload plus all pushed headers."""
         return self._size
-
-    @property
-    def total_size(self) -> int:
-        """Total bytes this object puts on the wire: ``size * count``."""
-        return self._size * self.count
 
     def copy(self) -> "Packet":
         """Shallow-copy the packet with a fresh uid (headers are shared
@@ -129,47 +107,3 @@ class Packet:
         stack = "/".join(type(header).__name__ for header in reversed(self.headers))
         return f"<Packet #{self.uid} {self.size}B [{stack or 'raw'}]>"
 
-
-class PacketTrain(Packet):
-    """``count`` identical back-to-back packets carried as one unit.
-
-    The flood fast path sends trains so every queue/device/channel hop
-    costs one scheduled event per *train* rather than per packet.  The
-    header stack and ``size`` describe a single member packet; devices
-    serialize ``size * count`` bytes and stamp ``spacing`` (per-packet
-    serialization delay) so the sink can reconstruct each member's exact
-    arrival time.  With ``count == 1`` a train behaves bit-identically
-    to a plain :class:`Packet`.
-    """
-
-    __slots__ = ("count", "spacing", "tx_start", "link_delay")
-
-    def __init__(
-        self,
-        payload_size: int,
-        count: int,
-        created_at: float = 0.0,
-    ):
-        if count < 1:
-            raise ValueError("a train carries at least one packet")
-        super().__init__(None, payload_size, created_at)
-        self.count = count
-        self.spacing = 0.0
-        self.tx_start = None
-        self.link_delay = None
-
-    def copy(self) -> "PacketTrain":
-        clone = PacketTrain(self.payload_size, self.count, self.created_at)
-        clone.headers = list(self.headers)
-        clone.span = self.span
-        clone._size = self._size
-        clone.spacing = self.spacing
-        clone.tx_start = self.tx_start
-        clone.link_delay = self.link_delay
-        return clone
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        stack = "/".join(type(header).__name__ for header in reversed(self.headers))
-        return (
-            f"<PacketTrain #{self.uid} {self.count}x{self.size}B [{stack or 'raw'}]>"
-        )

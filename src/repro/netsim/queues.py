@@ -4,12 +4,6 @@ The paper's Figure 2 attributes the sublinear growth of received data rate
 to "congestion and collisions stemming from elevated network traffic";
 in this simulator that behaviour emerges from finite-rate links draining
 drop-tail queues — same mechanism NS-3's ``DropTailQueue`` provides.
-
-Capacity is accounted per *packet*, not per queue entry: a
-:class:`~repro.netsim.packet.PacketTrain` of K packets consumes K slots
-(and K x size bytes), and a train that only partially fits is split —
-the head is admitted, the overflowing tail dropped — so drop-tail
-overflow behaviour is exact regardless of train size.
 """
 
 from __future__ import annotations
@@ -58,7 +52,7 @@ class DropTailQueue:
         )
 
     def __len__(self) -> int:
-        """Queued *packet* count (a train of K counts K)."""
+        """Queued packet count."""
         return self.packets_queued
 
     @property
@@ -66,34 +60,18 @@ class DropTailQueue:
         return not self._queue
 
     def enqueue(self, packet: Packet) -> bool:
-        """Add ``packet``; returns False (and counts drops) on overflow.
-
-        A train that partially fits is split: the fitting head is
-        admitted (returns True) and the remainder is dropped.
-        """
-        count = packet.count
-        room = self.max_packets - self.packets_queued
-        if room <= 0:
-            self._record_drop(packet, "overflow_packets", count)
+        """Add ``packet``; returns False (and counts the drop) on overflow."""
+        if self.packets_queued >= self.max_packets:
+            self._record_drop(packet, "overflow_packets")
             return False
-        reason = "overflow_packets"
-        if self.max_bytes is not None and packet.size > 0:
-            byte_room = (self.max_bytes - self.bytes_queued) // packet.size
-            if byte_room < room:
-                room = byte_room
-                reason = "overflow_bytes"
-            if room <= 0:
-                self._record_drop(packet, reason, count)
-                return False
-        if count > room:
-            # Partial fit: admit the head of the train, drop the tail.
-            self._record_drop(packet, reason, count - room)
-            packet = packet.copy()
-            packet.count = count = room
+        size = packet.size
+        if self.max_bytes is not None and self.bytes_queued + size > self.max_bytes:
+            self._record_drop(packet, "overflow_bytes")
+            return False
         self._queue.append(packet)
-        self.packets_queued += count
-        self.bytes_queued += packet.size * count
-        self.enqueued += count
+        self.packets_queued += 1
+        self.bytes_queued += size
+        self.enqueued += 1
         return True
 
     def dequeue(self) -> Optional[Packet]:
@@ -101,8 +79,8 @@ class DropTailQueue:
         if not self._queue:
             return None
         packet = self._queue.popleft()
-        self.packets_queued -= packet.count
-        self.bytes_queued -= packet.size * packet.count
+        self.packets_queued -= 1
+        self.bytes_queued -= packet.size
         return packet
 
     def clear(self) -> int:
@@ -114,7 +92,7 @@ class DropTailQueue:
             if self._spans.enabled:
                 for packet in self._queue:
                     if packet.span is not None:
-                        self._spans.drop(packet.span, packet.count)
+                        self._spans.drop(packet.span)
             if self._tracer.enabled and self._sim is not None:
                 self._tracer.emit(
                     "queue.drop", self._sim.now,
@@ -158,8 +136,8 @@ class DropTailQueue:
     def checkpoint_state(self) -> dict:
         """Deterministic queue contents + counters for fingerprinting.
 
-        Entries are described by (size, count) shape — ``Packet.uid``
-        comes from a process-global counter and must never be hashed.
+        Entries are described by their sizes — ``Packet.uid`` comes
+        from a process-global counter and must never be hashed.
         """
         return {
             "name": self.name,
@@ -167,27 +145,27 @@ class DropTailQueue:
             "bytes": self.bytes_queued,
             "enqueued": self.enqueued,
             "dropped": self.dropped,
-            "entries": [[p.size, p.count] for p in self._queue],
+            "entries": [p.size for p in self._queue],
         }
 
-    def _record_drop(self, packet: Packet, reason: str, count: int = 1) -> None:
-        self.dropped += count
-        self._drop_counter.inc(count)
+    def _record_drop(self, packet: Packet, reason: str) -> None:
+        self.dropped += 1
+        self._drop_counter.inc()
         span = packet.span
         if span is not None:
-            self._spans.drop(span, count)
+            self._spans.drop(span)
         if self._tracer.enabled and self._sim is not None:
             if span is not None:
                 self._tracer.emit(
                     "queue.drop", self._sim.now,
                     queue=self.name, reason=reason, size=packet.size,
-                    lost=count, depth=self.packets_queued, span=span,
+                    lost=1, depth=self.packets_queued, span=span,
                 )
             else:
                 self._tracer.emit(
                     "queue.drop", self._sim.now,
                     queue=self.name, reason=reason, size=packet.size,
-                    lost=count, depth=self.packets_queued,
+                    lost=1, depth=self.packets_queued,
                 )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -183,32 +183,6 @@ class Simulator:
         self._live += 1
         heappush(self._heap, (time, seq, event))
 
-    def schedule_bare_at(self, time: float, callback: Callable, *args: Any) -> None:
-        """:meth:`schedule_bare` at an absolute virtual ``time``.
-
-        Exists so callers that computed an exact event time (e.g. a
-        train's serialization chain) can schedule it without the extra
-        ``now + (time - now)`` rounding a delay-based call would add.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
-            )
-        self._seq += 1
-        seq = self._seq
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.args = args
-        else:
-            event = ScheduledEvent(time, seq, callback, args)
-            event.recycle = True
-        self._live += 1
-        heappush(self._heap, (time, seq, event))
-
     def _note_cancel(self) -> None:
         """Live/tombstone bookkeeping for one cancellation; compacts the
         heap when tombstones dominate (in place, so the run loop's alias

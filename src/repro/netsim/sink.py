@@ -64,64 +64,37 @@ class PacketSink(Application):
         # (headers were popped on the way up; recompute their cost).
         size = packet.payload_size + udp_header.wire_size + type(ip_header).wire_size
         now = self.sim.now
-        count = packet.count
-        self.total_packets += count
-        self.total_bytes += size * count
-        if count == 1:
-            first_arrival = now
-            self.bytes_per_bin[int(now / self.bin_width)] += size
-            if self.first_packet_time is None:
-                self.first_packet_time = now
-        else:
-            # A train arrives as one event; reconstruct each member's
-            # arrival so the rate bins stay exact.  When the last hop
-            # stamped its serialization start and propagation delay,
-            # replay the per-packet path's float-add chain verbatim
-            # (start + spacing, member by member, + delay) — backward
-            # arithmetic from ``now`` rounds differently and can drop a
-            # member into the neighbouring bin.
-            spacing = packet.spacing
-            delay = packet.link_delay
-            bins = self.bytes_per_bin
-            width = self.bin_width
-            if delay is not None and packet.tx_start is not None:
-                t = packet.tx_start
-                first_arrival = t + spacing + delay
-                for member in range(count):
-                    t += spacing
-                    bins[int((t + delay) / width)] += size
-            else:
-                first_arrival = now - (count - 1) * spacing
-                for member in range(count):
-                    bins[int((first_arrival + member * spacing) / width)] += size
-            if self.first_packet_time is None:
-                self.first_packet_time = first_arrival
+        self.total_packets += 1
+        self.total_bytes += size
+        self.bytes_per_bin[int(now / self.bin_width)] += size
+        if self.first_packet_time is None:
+            self.first_packet_time = now
         self.last_packet_time = now
         key = (ip_header.src, udp_header.src_port)
         entry = self.per_source.get(key)
         if entry is None:
-            self.per_source[key] = [count, size * count]
+            self.per_source[key] = [1, size]
         else:
-            entry[0] += count
-            entry[1] += size * count
+            entry[0] += 1
+            entry[1] += size
         flow_key = (ip_header.src, udp_header.src_port, udp_header.dst_port)
         flow = self.flows.get(flow_key)
         if flow is None:
             self.flows[flow_key] = {
                 "dst": getattr(ip_header, "dst", None),
-                "packets": count,
-                "bytes": size * count,
-                "t_first": first_arrival,
+                "packets": 1,
+                "bytes": size,
+                "t_first": now,
                 "t_last": now,
                 "span": packet.span,
             }
         else:
-            flow["packets"] += count
-            flow["bytes"] += size * count
+            flow["packets"] += 1
+            flow["bytes"] += size
             flow["t_last"] = now
         span = packet.span
         if span is not None:
-            self._spans.deliver(span, count, size * count)
+            self._spans.deliver(span, nbytes=size)
 
     # ------------------------------------------------------------------
     # Fluid datapath

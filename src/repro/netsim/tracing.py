@@ -83,8 +83,8 @@ class FlowMonitor:
         if stats is None:
             stats = FlowStats(first_time=now, last_time=now)
             self.flows[key] = stats
-        stats.packets += packet.count
-        stats.bytes += packet.size * packet.count
+        stats.packets += 1
+        stats.bytes += packet.size
         stats.last_time = now
 
     def total_bytes(self) -> int:

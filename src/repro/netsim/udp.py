@@ -10,7 +10,7 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.netsim.address import Address
 from repro.netsim.headers import PROTO_UDP, UdpHeader
-from repro.netsim.packet import Packet, PacketTrain
+from repro.netsim.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.netsim.ip import IpStack
@@ -92,33 +92,16 @@ class Udp:
 
         ``span`` stamps the causal span ID onto the packet so queues and
         sinks can attribute drops/deliveries back to the originating
-        attack train (no-op downstream when span tracking is off).
+        attack (no-op downstream when span tracking is off).
         """
         packet = Packet(payload, payload_size, created_at=self.ip.sim.now)
         if span is not None:
             packet.span = span
         return self.send(packet, destination, dst_port, src_port, source)
 
-    def send_train(
-        self,
-        destination: Address,
-        dst_port: int,
-        count: int,
-        src_port: int = 0,
-        payload_size: int = 0,
-        source: Optional[Address] = None,
-        span: Optional[str] = None,
-    ) -> bool:
-        """Send ``count`` identical junk datagrams as one
-        :class:`~repro.netsim.packet.PacketTrain` (the flood fast path)."""
-        packet = PacketTrain(payload_size, count, created_at=self.ip.sim.now)
-        if span is not None:
-            packet.span = span
-        return self.send(packet, destination, dst_port, src_port, source)
-
     def receive(self, packet: Packet, ip_header) -> None:
         header = packet.remove_header(UdpHeader)
-        self.rx_datagrams += packet.count
+        self.rx_datagrams += 1
         handler = self.bindings.get(header.dst_port)
         if handler is None:
             handler = self.default_handler

@@ -46,6 +46,8 @@ def config_to_canonical_json(config: SimulationConfig) -> str:
 
 def config_from_dict(data: Dict[str, Any]) -> SimulationConfig:
     """Rebuild a config from a dict (rejects unknown fields)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be an object, got {type(data).__name__}")
     payload = dict(data)
     if "protection_profiles" in payload:
         payload["protection_profiles"] = tuple(

@@ -63,13 +63,12 @@ class TieBreakAuditor:
 
     @classmethod
     def attach(cls, sim) -> "TieBreakAuditor":
-        """Wrap the simulator's three push entry points on the instance
+        """Wrap the simulator's two push entry points on the instance
         (``schedule`` and ``schedule_now`` route through ``schedule_at``);
         the run loops stay untouched, so an unaudited run pays nothing."""
         auditor = cls(sim)
         for name, relative in (("schedule_at", False),
-                               ("schedule_bare", True),
-                               ("schedule_bare_at", False)):
+                               ("schedule_bare", True)):
             setattr(sim, name, auditor._audited(getattr(sim, name), relative))
         return auditor
 

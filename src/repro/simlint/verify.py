@@ -163,8 +163,7 @@ def _describe(value, depth: int = 0):
     argument.
 
     ``Packet.uid`` comes from a process-global counter, so packets are
-    described by their deterministic shape (size, count, spacing) and
-    never by identity.  Unknown objects degrade to ``[type, name]`` —
+    described by their size and never by identity.  Unknown objects degrade to ``[type, name]`` —
     enough to catch a different object showing up at the same slot.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -176,12 +175,7 @@ def _describe(value, depth: int = 0):
     from repro.netsim.packet import Packet
 
     if isinstance(value, Packet):
-        return [
-            "pkt",
-            value.size,
-            getattr(value, "count", 1),
-            getattr(value, "spacing", 0.0),
-        ]
+        return ["pkt", value.size]
     name = getattr(value, "name", None)
     if isinstance(name, str):
         return [type(value).__name__, name]

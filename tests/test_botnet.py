@@ -144,6 +144,22 @@ class TestAttackDispatch:
         assert sink.total_packets > 50
         assert sink.distinct_sources() == 2
 
+    def test_attack_order_wire_format(self):
+        """flow != off pins a ``1`` in the sixth slot so the flow token
+        stays seventh; flow == off sends the five-argument order."""
+        cnc = CncServer.__new__(CncServer)
+        cnc.attack_orders = []
+        cnc.standing_orders = []
+        cnc._sim = None
+        sent_lines = []
+        cnc.broadcast = sent_lines.append  # type: ignore[assignment]
+        cnc.issue_attack("fd00::1", 7777, 30.0, 512, flow="all")
+        assert sent_lines[-1] == "ATTACK udpplain fd00::1 7777 30 512 1 all"
+        cnc.issue_attack("fd00::1", 7777, 30.0, 512, flow="auto")
+        assert sent_lines[-1] == "ATTACK udpplain fd00::1 7777 30 512 1 auto"
+        cnc.issue_attack("fd00::1", 7777, 30.0, 512)
+        assert sent_lines[-1] == "ATTACK udpplain fd00::1 7777 30 512"
+
     def test_ping_pong_keepalive(self):
         mininet, cnc, _target, _sink = self._botnet(n_bots=1)
         record = cnc.connected_bots()[0]

@@ -237,7 +237,7 @@ class TestCrossoverModes:
     def test_auto_mode_keeps_real_packets_at_sink(self):
         f_sim, _f_result = self._run("auto")
         sink = f_sim.tserver.sink
-        # Crossover injection delivers genuine trains: the sink's fluid
+        # Crossover injection delivers genuine packets: the sink's fluid
         # quantization state stays untouched in auto mode.
         assert sink.total_packets > 0
         assert not sink._fluid

@@ -9,7 +9,7 @@ from repro.netsim.address import (
 )
 from repro.netsim.headers import PROTO_UDP, Ipv6Header, UdpHeader
 from repro.netsim.node import Node
-from repro.netsim.packet import Packet, PacketTrain
+from repro.netsim.packet import Packet
 from repro.netsim.topology import StarInternet
 
 
@@ -189,38 +189,3 @@ class TestMulticast:
         sender.ip.send(packet, ALL_DHCP_RELAY_AGENTS_AND_SERVERS, PROTO_UDP)
         sim.run()
         assert inbox == []
-
-
-class TestTrainDropAccounting:
-    """Drop counters must account for every packet a train carries."""
-
-    def test_no_route_drop_counts_whole_train(self, sim, star):
-        node = Node(sim, "n")
-        star.attach_host(node, 1e6)
-        node.ip.default_device = None
-        node.ip.routes.clear()
-        train = PacketTrain(payload_size=64, count=16)
-        train.add_header(UdpHeader(1000, 9))
-        assert not node.ip.send(train, Ipv6Address.parse("2001:db8::99"), PROTO_UDP)
-        assert node.ip.dropped_no_route == 16
-
-    def test_no_transport_drop_counts_whole_train(self, sim, star):
-        node = Node(sim, "n")
-        star.attach_host(node, 1e6)
-        train = PacketTrain(payload_size=64, count=16)
-        # Loopback self-delivery with a protocol nothing is bound to.
-        node.ip.send(train, node.primary_address(want_ipv6=True), protocol=253)
-        sim.run()
-        assert node.ip.dropped_no_transport == 16
-
-    def test_multicast_no_route_drop_counts_whole_train(self, sim):
-        node = Node(sim, "isolated-member")
-        # No devices at all: multicast send has no egress and is dropped.
-        node.ip.join_multicast(ALL_DHCP_RELAY_AGENTS_AND_SERVERS)
-        train = PacketTrain(payload_size=64, count=16)
-        train.add_header(UdpHeader(546, 547))
-        header = Ipv6Header(
-            Ipv6Address.parse("fe80::1"), ALL_DHCP_RELAY_AGENTS_AND_SERVERS, PROTO_UDP
-        )
-        assert not node.ip._send_multicast(train, header)
-        assert node.ip.dropped_no_route == 16

@@ -43,6 +43,22 @@ class TestPacketBasics:
         assert packet.size == 100 + 8 + 40
 
 
+class TestPacketSizeCache:
+    def test_size_tracks_header_pushes_and_pops(self):
+        packet = Packet(payload_size=100)
+        assert packet.size == 100
+        packet.add_header(UdpHeader(1, 2))
+        assert packet.size == 108
+        packet.remove_header(UdpHeader)
+        assert packet.size == 100
+
+    def test_copy_carries_cached_size(self):
+        packet = Packet(payload_size=64)
+        packet.add_header(UdpHeader(1, 2))
+        clone = packet.copy()
+        assert clone.size == packet.size == 72
+
+
 class TestHeaderStack:
     def test_lifo_remove(self):
         packet = Packet(payload_size=10)

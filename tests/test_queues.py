@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netsim.packet import Packet, PacketTrain
+from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 
 
@@ -54,79 +54,6 @@ class TestDropTailQueue:
         with pytest.raises(ValueError):
             DropTailQueue(max_packets=0)
 
-
-class TestByteCappedTrainSplit:
-    """The overflow_bytes head-admit/tail-drop path: a train that only
-    partially fits the *byte* cap is split exactly like the packet-cap
-    split, with the drop reason attributed to bytes."""
-
-    def test_byte_cap_splits_train(self):
-        # 1000 B cap, 100 B members: byte room for 10 of 16.
-        queue = DropTailQueue(max_packets=100, max_bytes=1000)
-        train = PacketTrain(100, 16)
-        assert queue.enqueue(train)  # head admitted
-        assert len(queue) == 10
-        assert queue.bytes_queued == 1000
-        assert queue.dropped == 6
-        assert queue.enqueued == 10
-
-    def test_byte_cap_tighter_than_packet_cap_wins(self):
-        # Packet room 12, byte room 5: the byte cap binds.
-        queue = DropTailQueue(max_packets=12, max_bytes=500)
-        train = PacketTrain(100, 12)
-        assert queue.enqueue(train)
-        assert len(queue) == 5
-        assert queue.dropped == 7
-
-    def test_packet_cap_tighter_than_byte_cap_wins(self):
-        queue = DropTailQueue(max_packets=3, max_bytes=10_000)
-        train = PacketTrain(100, 8)
-        assert queue.enqueue(train)
-        assert len(queue) == 3
-        assert queue.bytes_queued == 300
-        assert queue.dropped == 5
-
-    def test_full_byte_cap_rejects_whole_train(self):
-        queue = DropTailQueue(max_packets=100, max_bytes=250)
-        assert queue.enqueue(PacketTrain(100, 2))
-        # 50 B of room < one 100 B member: byte_room == 0, full drop.
-        assert not queue.enqueue(PacketTrain(100, 4))
-        assert queue.dropped == 4
-        assert len(queue) == 2
-
-    def test_split_does_not_mutate_original_train(self):
-        # enqueue() admits a *copy* of the head; the caller's train (and
-        # anything else holding it) keeps its original count.
-        queue = DropTailQueue(max_packets=4, max_bytes=None)
-        train = PacketTrain(100, 10)
-        assert queue.enqueue(train)
-        assert train.count == 10
-        admitted = queue.dequeue()
-        assert admitted is not train
-        assert admitted.count == 4
-
-    def test_admitted_head_dequeues_with_exact_byte_accounting(self):
-        queue = DropTailQueue(max_packets=100, max_bytes=750)
-        train = PacketTrain(250, 5)
-        assert queue.enqueue(train)
-        assert queue.bytes_queued == 750
-        head = queue.dequeue()
-        assert head.count == 3
-        assert queue.bytes_queued == 0
-        assert queue.empty
-
-    @given(st.integers(min_value=1, max_value=40),
-           st.integers(min_value=1, max_value=400),
-           st.integers(min_value=100, max_value=4000))
-    def test_byte_split_invariants_property(self, count, size, max_bytes):
-        """admitted + dropped == count, and the byte counter never
-        exceeds the cap, for any (train, cap) combination."""
-        queue = DropTailQueue(max_packets=1000, max_bytes=max_bytes)
-        queue.enqueue(PacketTrain(size, count))
-        assert len(queue) + queue.dropped == count
-        assert queue.bytes_queued <= max_bytes
-        assert queue.bytes_queued == len(queue) * size
-
     def test_fluid_drop_feeds_same_counters(self):
         """The analytic datapath's drop hook shares the packet path's
         accounting: queue.dropped and the drop counter both move."""
@@ -158,3 +85,42 @@ class TestByteCappedTrainSplit:
             remaining_bytes += packet.size
         assert queue.bytes_queued == 0
         assert remaining_bytes >= 0
+
+    @given(st.lists(st.one_of(st.integers(min_value=1, max_value=400),
+                              st.none()), max_size=80),
+           st.integers(min_value=1, max_value=20),
+           st.integers(min_value=1, max_value=4000))
+    def test_caps_property(self, ops, max_packets, max_bytes):
+        """Single packets against packet and byte caps (``None`` in
+        ``ops`` dequeues one): admitted + dropped == offered, the byte
+        counter never exceeds the cap, and every drop names the cap that
+        refused it — the packet cap when both are full."""
+        queue = DropTailQueue(max_packets=max_packets, max_bytes=max_bytes)
+        reasons = []
+        record_drop = queue._record_drop
+
+        def note_drop(packet, reason):
+            reasons.append(reason)
+            record_drop(packet, reason)
+
+        queue._record_drop = note_drop
+        offered = 0
+        for size in ops:
+            if size is None:
+                queue.dequeue()
+                continue
+            offered += 1
+            if len(queue) >= max_packets:
+                expected = "overflow_packets"
+            elif queue.bytes_queued + size > max_bytes:
+                expected = "overflow_bytes"
+            else:
+                expected = None
+            drops_before = len(reasons)
+            admitted = queue.enqueue(Packet(payload_size=size))
+            assert admitted == (expected is None)
+            assert reasons[drops_before:] == ([] if admitted else [expected])
+            assert queue.bytes_queued <= max_bytes
+            assert len(queue) <= max_packets
+        assert queue.enqueued + queue.dropped == offered
+        assert queue.dropped == len(reasons)

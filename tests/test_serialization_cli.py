@@ -178,6 +178,7 @@ class TestCli:
         ("kill-after-checkpoint", ["run", "--kill-after-checkpoint", "1"]),
         ("verify-resume", ["verify-determinism", "--resume"]),
         ("chaos", ["chaos"]),
+        ("train", ["run", "--train", "8"]),
     ]
 
     @pytest.mark.parametrize("argv", [
@@ -200,6 +201,85 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: unknown config fields: ['{knob}']\n"
         assert captured.out == ""
+
+    def test_removed_flood_train_field_is_a_one_line_error(
+            self, capsys, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"flood_train": 8}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--config", str(config_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown config fields: ['flood_train']\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, culprit", [
+        (["run", "--config", "{missing}"], "missing"),
+        (["run", "--devs", "2", "--faults", "{missing}"], "missing"),
+        (["obs", "--config", "{missing}"], "missing"),
+        (["report", "--faults", "{missing}", "--out", os.devnull], "missing"),
+        (["faultsweep", "--plan", "{missing}"], "missing"),
+        (["run", "--config", "{directory}"], "directory"),
+        (["run", "--devs", "2", "--metrics-out", "{directory}"], "directory"),
+    ], ids=["run-config", "run-faults", "obs-config", "report-faults",
+            "faultsweep-plan", "config-is-a-directory",
+            "output-is-a-directory"])
+    def test_unusable_file_is_a_one_line_error(
+            self, capsys, tmp_path, argv, culprit):
+        paths = {"missing": str(tmp_path / "missing.json"),
+                 "directory": str(tmp_path)}
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(**paths) for arg in argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {paths[culprit]}: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("document, kind", [
+        ([], "list"), ("hello", "str"), (5, "int"), (None, "NoneType"),
+    ])
+    def test_non_object_config_is_a_one_line_error(
+            self, capsys, tmp_path, document, kind):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--config", str(config_path)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: config must be an object, got {kind}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["report", "--faults", "{missing}"], "--out"),
+        (["report", "--devs", "0"], "--out"),
+        (["run", "--config", "{missing}"], "--trace-out"),
+        (["run", "--devs", "0"], "--metrics-out"),
+        (["obs", "--payload", "0"], "--jsonl-out"),
+    ], ids=["report-missing-faults", "report-bad-config",
+            "run-missing-config", "run-bad-config", "obs-bad-config"])
+    def test_bad_input_leaves_output_files_alone(self, tmp_path, argv, flag):
+        missing = str(tmp_path / "missing.json")
+        argv = [arg.format(missing=missing) for arg in argv]
+        existing = tmp_path / "existing.out"
+        existing.write_text("earlier output")
+        fresh = tmp_path / "fresh.out"
+        for target in (existing, fresh):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + [flag, str(target)])
+            assert excinfo.value.code == 2
+        assert existing.read_text() == "earlier output"
+        assert not fresh.exists()
+
+    def test_writable_check_keeps_existing_contents(self, tmp_path):
+        from repro.cli import _check_writable
+
+        existing = tmp_path / "existing.out"
+        existing.write_text("earlier output")
+        fresh = tmp_path / "fresh.out"
+        _check_writable(str(existing), str(fresh), None)
+        assert existing.read_text() == "earlier output"
+        assert not fresh.exists()
 
     @pytest.mark.parametrize("kind, what", [
         ("link_down", "link"),

@@ -487,7 +487,6 @@ _HARD_CASES = {
     "packet": _config(),
     "flow-auto": _config(flood_flow="auto"),
     "flow-all": _config(flood_flow="all"),
-    "train": _config(flood_train=8),
     "faults": _config(faults=_FAULT_PLAN),
     "churn-faults-flow": _config(churn="dynamic", flood_flow="auto",
                                  faults=_FAULT_PLAN),
