@@ -142,8 +142,8 @@ def test_flood_flow_crossover_auto(benchmark):
 
 def test_flood_flow_vs_packet(benchmark):
     """The datapath ladder on one flood: per-packet, hybrid crossover,
-    fully fluid — event counts per tier recorded so BENCH_engine.json
-    tracks the whole perf trajectory."""
+    fully fluid — event counts per tier recorded in the benchmark's
+    ``extra_info``."""
     ladder = {label: _flood_scenario(flow) for label, flow in (
         ("packet", "off"), ("auto", "auto"), ("all", "all"),
     )}
@@ -291,8 +291,8 @@ def test_sweep_dispatch_work_stealing(benchmark):
 
 
 def test_sweep_dispatch_static_sharding(benchmark):
-    """Reference point for BENCH_engine.json: the same skewed grid under
-    static sharding, whose wall time is slowest-shard bound."""
+    """Reference point for the work-stealing case: the same skewed grid
+    under static sharding, whose wall time is slowest-shard bound."""
     results = benchmark(
         lambda: _static_shard_map(_sleep_task, _SKEWED_GRID, jobs=2)
     )

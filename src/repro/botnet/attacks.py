@@ -92,10 +92,9 @@ def udp_plain_flood(
     Packets carry a virtual payload (size only, no bytes) — the flood's
     effect is entirely in its wire footprint.  The emission rate defaults
     to the bot's own access-link rate (its uplink is the binding
-    constraint for 100-500 kbps IoT devices).
+    constraint for 100-500 kbps IoT devices).  Each packet's pacing gap
+    is a plain ``yield <seconds>`` sleep: no timer object per packet.
     """
-    from repro.netsim.process import Timeout
-
     if stats is None:
         stats = AttackStats()
     rate = rate_bps if rate_bps is not None else _device_rate_bps(node)
@@ -113,7 +112,7 @@ def udp_plain_flood(
         )
         stats.packets_sent += 1
         stats.bytes_sent += wire_size  # wire bytes, comparable to the sink's
-        yield Timeout(sim, interval)
+        yield interval
     stats.finished_at = sim.now
     return stats
 
@@ -201,8 +200,6 @@ def ack_flood(
 
 
 def _tcp_flag_flood(node, target, target_port, duration, flags, rate_bps, stats):
-    from repro.netsim.process import Timeout
-
     if stats is None:
         stats = AttackStats()
     rate = rate_bps if rate_bps is not None else _device_rate_bps(node)
@@ -221,6 +218,6 @@ def _tcp_flag_flood(node, target, target_port, duration, flags, rate_bps, stats)
         stats.bytes_sent += segment_size
         sport = 1024 + (sport - 1023) % 60000
         seq += 1
-        yield Timeout(sim, interval)
+        yield interval
     stats.finished_at = sim.now
     return stats

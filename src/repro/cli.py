@@ -143,6 +143,9 @@ def _devs_grid(args: argparse.Namespace, default, base=None):
 
 
 def _emit_rows(rows, args) -> None:
+    """Print a sweep's rows and write its ``--csv``/``--json``; the
+    command checks both paths with :func:`_check_writable` before the
+    sweep starts."""
     print(format_table(rows))
     if getattr(args, "csv", None):
         with open(args.csv, "w", encoding="utf-8") as handle:
@@ -254,7 +257,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     config = _config_from_args(args)
-    _check_writable(trace_out, metrics_out)
+    _check_writable(args.json, trace_out, metrics_out)
     # Full instrumentation only for the Chrome trace: the profiler's
     # wall-clock gauges would make a --metrics-out snapshot differ
     # between two runs of the same config.
@@ -382,6 +385,7 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     with _config_errors():
         base = SimulationConfig(flood_flow=flow) if flow != "off" else None
     devs_grid = _devs_grid(args, (10, 50, 100, 150), base)
+    _check_writable(args.csv, args.json)
     rows = run_figure2(devs_grid=devs_grid, churn_modes=FIGURE2_CHURN,
                        seed=args.seed, base_config=base, jobs=args.jobs,
                        cache=_cache_from_args(args),
@@ -399,6 +403,7 @@ def cmd_figure3(args: argparse.Namespace) -> int:
         base = SimulationConfig(n_devs=1, attack_payload_size=1400,
                                 flood_flow=getattr(args, "flow", "off"))
     devs_grid = _devs_grid(args, (50, 100), base)
+    _check_writable(args.csv, args.json)
     rows = run_figure3(devs_grid=devs_grid, seed=args.seed, base_config=base,
                        jobs=args.jobs, cache=_cache_from_args(args),
                        telemetry=_telemetry_from_args(args, "figure3"),
@@ -412,6 +417,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     from repro.core.experiment import TABLE1_DEVS, run_table1
 
     devs_grid = _devs_grid(args, TABLE1_DEVS)
+    _check_writable(args.csv, args.json)
     rows = run_table1(devs_grid=devs_grid, seed=args.seed, jobs=args.jobs,
                       cache=_cache_from_args(args),
                       telemetry=_telemetry_from_args(args, "table1"),
@@ -425,6 +431,7 @@ def cmd_figure4(args: argparse.Namespace) -> int:
     from repro.core.experiment import run_figure4
 
     devs_grid = _devs_grid(args, (1, 4, 7, 10, 13, 16, 19))
+    _check_writable(args.csv, args.json)
     rows = run_figure4(devs_grid=devs_grid, seed=args.seed, jobs=args.jobs,
                        cache=_cache_from_args(args),
                        telemetry=_telemetry_from_args(args, "figure4"),
@@ -441,6 +448,7 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
     with _config_errors():
         plan = load_fault_plan(args.plan)
     _checked_devs((args.devs,))
+    _check_writable(args.csv, args.json)
     grid = tuple(args.grid) if args.grid else None
     kwargs = {"n_devs": args.devs, "seed": args.seed, "jobs": args.jobs,
               "cache": _cache_from_args(args),
@@ -458,6 +466,7 @@ def cmd_recruitment(args: argparse.Namespace) -> int:
     from repro.core.experiment import run_recruitment
 
     _checked_devs((args.devs,))
+    _check_writable(args.csv, args.json)
     rows = run_recruitment(n_devs=args.devs, seed=args.seed, jobs=args.jobs,
                            cache=_cache_from_args(args),
                            telemetry=_telemetry_from_args(args, "recruitment"),
@@ -580,6 +589,7 @@ def cmd_epidemic(args: argparse.Namespace) -> int:
     from repro.analysis.epidemic import fit_si_model, run_propagation_experiment
 
     _checked_devs((args.devs,))
+    _check_writable(args.csv, args.json)
     result = run_propagation_experiment(
         n_devs=args.devs, seed=args.seed, duration=args.duration,
         probes_per_second=args.scan_rate,

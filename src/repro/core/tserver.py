@@ -4,8 +4,8 @@
 customized sink application capable of receiving data transmitted from
 any source within the simulated network" — exactly what
 :class:`repro.netsim.sink.PacketSink` does; this wrapper adds the access
-link (whose finite downlink rate is the DDoS bottleneck) and a
-:class:`repro.netsim.tracing.FlowMonitor` for per-flow analysis.
+link (whose finite downlink rate is the DDoS bottleneck).  Per-flow
+analysis reads the sink's NetFlow records (``sink.flows``).
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from repro.core.config import SimulationConfig
 from repro.netsim.node import Node
 from repro.netsim.sink import PacketSink
 from repro.netsim.topology import StarInternet
-from repro.netsim.tracing import FlowMonitor
 
 
 class TServerComponent:
-    """The target server: node + promiscuous sink + flow stats."""
+    """The target server: node + promiscuous sink (with per-flow stats)."""
 
     def __init__(self, config: SimulationConfig, sim, star: StarInternet):
         self.config = config
@@ -31,7 +30,6 @@ class TServerComponent:
         )
         self.address = self.link.ipv6
         self.sink = PacketSink(self.node)
-        self.flow_monitor = FlowMonitor(self.node)
 
     def start(self) -> None:
         self.sink.start()

@@ -7,7 +7,8 @@ This module therefore implements both families from scratch, including the
 ``ff02::1:2`` All-DHCP-Relay-Agents-and-Servers group used by the attack.
 
 Addresses are small immutable value objects wrapping an integer, cheap to
-hash and compare (they are used as routing-table keys on the hot path).
+hash and compare (they are used as routing-table keys on the hot path, so
+each caches its hash at construction).
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ class AddressError(ValueError):
 class _IntAddress:
     """Shared machinery for fixed-width integer-backed addresses."""
 
-    __slots__ = ("_value",)
+    # ``_hash`` is derived from ints only, so it is the same in every
+    # process (no PYTHONHASHSEED dependence) and survives pickling.
+    __slots__ = ("_value", "_hash")
     BITS: int = 0
 
     def __init__(self, value: int):
@@ -32,6 +35,7 @@ class _IntAddress:
                 f"{type(self).__name__} value {value:#x} out of range (0..2^{self.BITS})"
             )
         self._value = value
+        self._hash = hash((self.BITS, value))
 
     @property
     def value(self) -> int:
@@ -42,7 +46,7 @@ class _IntAddress:
         return type(other) is type(self) and other._value == self._value  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._value))
+        return self._hash
 
     def __lt__(self, other: "_IntAddress") -> bool:
         if type(other) is not type(self):

@@ -10,7 +10,7 @@ interfaces.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.netsim.packet import Packet
 from repro.netsim.simulator import Simulator
@@ -59,6 +59,9 @@ class PointToPointChannel(Channel):
         self._base_rng = rng
         self.packets_carried = 0
         self.packets_lost = 0
+        # Both ends, resolved once in attach() so transmit() does no
+        # per-packet peer lookup; None until the link is fully wired.
+        self._ends: Optional[Tuple["NetDevice", "NetDevice"]] = None
         obs = sim.obs
         self._tracer = obs.tracer
         self._tx_packets = obs.metrics.counter(
@@ -75,6 +78,8 @@ class PointToPointChannel(Channel):
         if len(self.devices) >= 2:
             raise ValueError("point-to-point channel already has two devices")
         super().attach(device)
+        if len(self.devices) == 2:
+            self._ends = tuple(self.devices)
 
     def override_parameters(self, delay: Optional[float] = None,
                             loss_rate: Optional[float] = None,
@@ -128,14 +133,16 @@ class PointToPointChannel(Channel):
 
     def peer_of(self, device: "NetDevice") -> Optional["NetDevice"]:
         """The device at the other end of the link, if both are attached."""
-        if len(self.devices) != 2:
+        ends = self._ends
+        if ends is None:
             return None
-        return self.devices[1] if self.devices[0] is device else self.devices[0]
+        return ends[1] if ends[0] is device else ends[0]
 
     def transmit(self, sender: "NetDevice", packet: Packet) -> None:
-        peer = self.peer_of(sender)
-        if peer is None:
+        ends = self._ends
+        if ends is None:
             raise RuntimeError("point-to-point channel is not fully wired")
+        peer = ends[1] if ends[0] is sender else ends[0]
         if self.loss_rate > 0.0 and self._rng is not None:
             if self._rng.random() < self.loss_rate:
                 self.packets_lost += 1

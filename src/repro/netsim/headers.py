@@ -60,32 +60,36 @@ class Ipv4Header(Header):
 
 
 class Ipv6Header(Header):
-    """40-byte IPv6 header."""
+    """40-byte IPv6 header.
 
-    __slots__ = ("src", "dst", "next_header", "hop_limit")
+    The fields are stored under the IPv4 names (``protocol``, ``ttl``) so
+    the IP layer reads v4 and v6 headers alike with plain slot access;
+    ``next_header`` and ``hop_limit`` are the IPv6 names for them.
+    """
+
+    __slots__ = ("src", "dst", "protocol", "ttl")
     wire_size = 40
 
     def __init__(self, src: Ipv6Address, dst: Ipv6Address, next_header: int, hop_limit: int = 64):
         self.src = src
         self.dst = dst
-        self.next_header = next_header
-        self.hop_limit = hop_limit
-
-    # Uniform field names so the IP layer can treat v4/v6 alike.
-    @property
-    def protocol(self) -> int:
-        return self.next_header
+        self.protocol = next_header
+        self.ttl = hop_limit
 
     @property
-    def ttl(self) -> int:
-        return self.hop_limit
+    def next_header(self) -> int:
+        return self.protocol
 
-    @ttl.setter
-    def ttl(self, value: int) -> None:
-        self.hop_limit = value
+    @property
+    def hop_limit(self) -> int:
+        return self.ttl
+
+    @hop_limit.setter
+    def hop_limit(self, value: int) -> None:
+        self.ttl = value
 
     def __repr__(self) -> str:
-        return f"<IPv6 {self.src}->{self.dst} nh={self.next_header} hl={self.hop_limit}>"
+        return f"<IPv6 {self.src}->{self.dst} nh={self.protocol} hl={self.ttl}>"
 
 
 class UdpHeader(Header):

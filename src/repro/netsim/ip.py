@@ -79,7 +79,16 @@ class IpStack:
     # Addressing and routing
     # ------------------------------------------------------------------
     def add_address(self, device: NetDevice, address: Address) -> None:
-        """Assign ``address`` to ``device`` on this node."""
+        """Assign ``address`` to ``device`` on this node.
+
+        Only unicast addresses are assigned; group membership goes
+        through :meth:`join_multicast`.  That keeps ``addresses`` free of
+        multicast groups, so :meth:`receive` can test it first.
+        """
+        if address.is_multicast:
+            raise ValueError(
+                f"{self.node.name}: {address} is multicast; use join_multicast()"
+            )
         if address in self.addresses:
             raise ValueError(f"{self.node.name}: duplicate address {address}")
         self.addresses[address] = device
@@ -184,11 +193,13 @@ class IpStack:
         if not isinstance(header, (Ipv4Header, Ipv6Header)):
             return  # not IP; nothing above L2 is modelled on this node
         destination = header.dst
-        if isinstance(destination, Ipv6Address) and destination.is_multicast:
-            self._receive_multicast(packet, header, ingress)
-            return
+        # Unicast to one of our addresses first (the flood's sink case);
+        # add_address() admits no multicast, so the order is exact.
         if destination in self.addresses:
             self._deliver(packet, header)
+            return
+        if isinstance(destination, Ipv6Address) and destination.is_multicast:
+            self._receive_multicast(packet, header, ingress)
             return
         if not self.forwarding:
             self.dropped_no_route += 1

@@ -30,13 +30,14 @@ class Packet:
     """A simulated packet.
 
     ``size`` always reflects the total wire size (payload plus all pushed
-    headers), which is what links serialize and queues count.  It is
-    cached and maintained incrementally on header push/pop — the flood
-    datapath reads it at every queue/device/channel touch.
+    headers), which is what links serialize and queues count.  It is a
+    plain attribute maintained incrementally on header push/pop, since
+    the flood datapath reads it at every queue/device/channel touch;
+    callers must treat it as read-only.
     """
 
     __slots__ = ("uid", "payload", "payload_size", "headers", "created_at",
-                 "span", "_size")
+                 "span", "size")
 
     def __init__(
         self,
@@ -58,7 +59,8 @@ class Packet:
         # tracking is on); queues and sinks attribute drops/deliveries
         # back through it.
         self.span: Optional[str] = None
-        self._size = self.payload_size
+        #: wire size in bytes: payload plus all pushed headers
+        self.size: int = self.payload_size
 
     # ------------------------------------------------------------------
     # Header stack
@@ -66,7 +68,7 @@ class Packet:
     def add_header(self, header: Header) -> None:
         """Push ``header`` on top of the stack (outermost last)."""
         self.headers.append(header)
-        self._size += header.wire_size
+        self.size += header.wire_size
 
     def remove_header(self, header_type: Type[H]) -> H:
         """Pop the top header, asserting it is of ``header_type``."""
@@ -78,7 +80,7 @@ class Packet:
                 f"top header is {type(top).__name__}, expected {header_type.__name__}"
             )
         self.headers.pop()
-        self._size -= top.wire_size
+        self.size -= top.wire_size
         return top
 
     def peek_header(self, header_type: Type[H]) -> Optional[H]:
@@ -88,11 +90,6 @@ class Packet:
                 return header
         return None
 
-    @property
-    def size(self) -> int:
-        """Wire size in bytes: payload plus all pushed headers."""
-        return self._size
-
     def copy(self) -> "Packet":
         """Shallow-copy the packet with a fresh uid (headers are shared
         immutably-by-convention; multicast fan-out re-stacks its own)."""
@@ -100,7 +97,7 @@ class Packet:
                        self.created_at)
         clone.headers = list(self.headers)
         clone.span = self.span
-        clone._size = self._size
+        clone.size = self.size
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

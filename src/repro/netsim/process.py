@@ -11,10 +11,25 @@ sequential code.  This module provides a small simpy-style process layer:
   the exception *inside* the generator, so payload code can use ordinary
   ``try/except``.
 
+A process sleeps in one of two ways:
+
+* ``yield <float seconds>`` — a plain sleep.  It schedules one
+  fire-and-forget wake-up (:meth:`Simulator.schedule_bare`) and allocates
+  no future, timer handle or event object, which is why the flood loops
+  pace every packet this way.  Nothing can wait on, combine or cancel
+  it; after :meth:`SimProcess.kill` its wake-up is ignored.  A negative
+  (or NaN) delay is thrown into the generator as a
+  :class:`~repro.netsim.simulator.SimulationError`, like ``Timeout``
+  raises one.
+* ``yield Timeout(sim, seconds)`` — a sleep with a handle.  Use it when
+  something else needs the future: another process waiting on it,
+  :class:`AnyOf`/:class:`AllOf` (e.g. a receive with a deadline), or a
+  timer that may be cancelled.
+
 Example::
 
     def bot(sim, sock):
-        yield Timeout(sim, 1.0)                  # sleep 1 virtual second
+        yield 1.0                                # sleep 1 virtual second
         data = yield sock.recv()                 # wait for network input
         ...
 
@@ -25,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, List, Optional
 
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import SimulationError, Simulator
 
 
 class ProcessKilled(Exception):
@@ -140,7 +155,8 @@ class AnyOf(SimFuture):
 
 
 class SimProcess(SimFuture):
-    """Drives a generator, suspending on each yielded :class:`SimFuture`.
+    """Drives a generator, suspending on each yielded :class:`SimFuture`
+    or ``float`` sleep (seconds; see the module docstring).
 
     The process itself is a future: it resolves with the generator's return
     value (or the exception that escaped it), so processes can wait on each
@@ -182,14 +198,29 @@ class SimProcess(SimFuture):
         except BaseException as error:  # noqa: BLE001 - payload code may raise anything
             self.fail(error)
             return
-        if not isinstance(target, SimFuture):
-            self.sim.schedule_now(
-                self._step,
-                None,
-                TypeError(f"process {self.name!r} yielded {target!r}, expected SimFuture"),
+        if type(target) is float:
+            if target >= 0.0:
+                self.sim.schedule_bare(target, self._wake)
+                return
+            error = SimulationError(
+                f"process {self.name!r} cannot sleep {target} seconds"
             )
+        elif isinstance(target, SimFuture):
+            target.add_callback(self._resume)
             return
-        target.add_callback(self._resume)
+        else:
+            error = TypeError(
+                f"process {self.name!r} yielded {target!r}, "
+                "expected SimFuture or float seconds"
+            )
+        self.sim.schedule_now(self._step, None, error)
+
+    def _wake(self) -> None:
+        """End of a ``yield <seconds>`` sleep."""
+        if self._killed:
+            # kill() already queued a throwing step; ignore the wakeup.
+            return
+        self._step(None, None)
 
     def _resume(self, future: SimFuture) -> None:
         if self._killed and not self.done:

@@ -65,19 +65,6 @@ class Udp:
     # ------------------------------------------------------------------
     # Datapath
     # ------------------------------------------------------------------
-    def send(
-        self,
-        packet: Packet,
-        destination: Address,
-        dst_port: int,
-        src_port: int,
-        source: Optional[Address] = None,
-        ttl: int = 64,
-    ) -> bool:
-        """Stamp a UDP header and pass down to IP."""
-        packet.add_header(UdpHeader(src_port, dst_port))
-        return self.ip.send(packet, destination, PROTO_UDP, source, ttl)
-
     def send_datagram(
         self,
         payload: Optional[bytes],
@@ -88,16 +75,18 @@ class Udp:
         source: Optional[Address] = None,
         span: Optional[str] = None,
     ) -> bool:
-        """Convenience wrapper building the packet in one call.
+        """Build a datagram, stamp its UDP header and pass it down to IP.
 
         ``span`` stamps the causal span ID onto the packet so queues and
         sinks can attribute drops/deliveries back to the originating
         attack (no-op downstream when span tracking is off).
         """
-        packet = Packet(payload, payload_size, created_at=self.ip.sim.now)
+        ip = self.ip
+        packet = Packet(payload, payload_size, created_at=ip.sim.now)
         if span is not None:
             packet.span = span
-        return self.send(packet, destination, dst_port, src_port, source)
+        packet.add_header(UdpHeader(src_port, dst_port))
+        return ip.send(packet, destination, PROTO_UDP, source)
 
     def receive(self, packet: Packet, ip_header) -> None:
         header = packet.remove_header(UdpHeader)

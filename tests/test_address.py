@@ -1,5 +1,10 @@
 """Unit + property tests for MAC/IPv4/IPv6 addresses."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -104,6 +109,28 @@ class TestIpv6:
     def test_roundtrip_property(self, value):
         address = Ipv6Address(value)
         assert Ipv6Address.parse(str(address)) == address
+
+
+class TestHash:
+    def test_unpickled_address_finds_its_dict_entry(self):
+        address = Ipv6Address.parse("2001:db8::7")
+        table = {address: "tserver", Ipv6Address.parse("2001:db8::8"): "dev"}
+        restored = pickle.loads(pickle.dumps(address))
+        assert restored == address
+        assert table[restored] == "tserver"
+        assert pickle.loads(pickle.dumps(table))[address] == "tserver"
+
+    def test_hash_does_not_depend_on_hash_seed(self):
+        code = ("from repro.netsim.address import Ipv4Address, Ipv6Address; "
+                "print(hash(Ipv6Address(7)), hash(Ipv4Address(7)))")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True,
+                                       check=True).stdout)
+        assert outputs == {f"{hash(Ipv6Address(7))} {hash(Ipv4Address(7))}\n"}
 
 
 class TestMac:

@@ -191,6 +191,12 @@ class TestFrameworkPlumbing:
         ddosim.build()
         assert len(ddosim.devs.devs) == 4
 
+    def test_tserver_delivery_has_no_taps(self):
+        # The sink keeps the NetFlow records; no per-delivery tap runs.
+        ddosim = DDoSim(quick_config())
+        ddosim.build()
+        assert ddosim.tserver.node.ip.delivery_taps == []
+
     def test_row_summary(self, baseline_run):
         _ddosim, result = baseline_run
         row = result.row()

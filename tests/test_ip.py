@@ -32,6 +32,16 @@ class TestAddressing:
         with pytest.raises(ValueError):
             node.ip.add_address(link.host_device, link.ipv6)
 
+    @pytest.mark.parametrize("group", [
+        ALL_DHCP_RELAY_AGENTS_AND_SERVERS, Ipv4Address.parse("224.0.0.1"),
+    ], ids=["ipv6", "ipv4"])
+    def test_multicast_address_rejected(self, sim, star, group):
+        node = Node(sim, "n")
+        link = star.attach_host(node, 1e6)
+        with pytest.raises(ValueError, match="multicast"):
+            node.ip.add_address(link.host_device, group)
+        assert group not in node.ip.addresses
+
     def test_primary_address_per_family(self, sim, star):
         node = Node(sim, "n")
         star.attach_host(node, 1e6)

@@ -106,6 +106,19 @@ class TestChannel:
         with pytest.raises(ValueError):
             PointToPointChannel(sim, delay=-1.0)
 
+    def test_peer_resolved_at_attach(self, sim):
+        dev_a, dev_b, channel = make_link(sim)
+        assert channel.peer_of(dev_a) is dev_b
+        assert channel.peer_of(dev_b) is dev_a
+
+    def test_half_wired_channel_refuses_to_transmit(self, sim):
+        channel = PointToPointChannel(sim)
+        device = PointToPointDevice(sim, 1e6)
+        channel.attach(device)
+        assert channel.peer_of(device) is None
+        with pytest.raises(RuntimeError, match="not fully wired"):
+            channel.transmit(device, Packet(payload_size=10))
+
     def test_lossy_channel_drops_fraction(self, sim):
         import random
 

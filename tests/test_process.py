@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.botnet.attacks import AttackStats, udp_plain_flood
 from repro.netsim.process import (
     AllOf,
     AnyOf,
@@ -10,6 +11,7 @@ from repro.netsim.process import (
     SimProcess,
     Timeout,
 )
+from repro.netsim.simulator import SimulationError, Simulator
 from tests.conftest import drive
 
 
@@ -156,6 +158,69 @@ class TestSimProcess:
             return value + 1
 
         assert drive(sim, worker()) == 6
+
+
+class TestSleep:
+    def test_float_sleep_advances_clock(self, sim):
+        def worker():
+            value = yield 1.5
+            yield 2.0
+            return value, sim.now
+
+        assert drive(sim, worker()) == (None, 3.5)
+
+    def test_sleep_runs_the_same_events_as_a_timeout(self):
+        def sleeper(clock, wake_times, use_timeout):
+            for delay in (0.25, 0.5, 0.125):
+                yield Timeout(clock, delay) if use_timeout else delay
+                wake_times.append(clock.now)
+
+        runs = []
+        for use_timeout in (True, False):
+            clock = Simulator()
+            wake_times = []
+            SimProcess(clock, sleeper(clock, wake_times, use_timeout))
+            clock.run()
+            runs.append((wake_times, clock.events_executed))
+        assert runs[0] == runs[1]
+
+    def test_flood_killed_between_sleeps_sends_nothing_more(self, sim, two_hosts):
+        node_a, node_b, _star = two_hosts
+        stats = AttackStats()
+        # 52 B payload + 48 B UDP/IPv6 headers at 8 kbps: one packet per 0.1 s
+        flood = SimProcess(sim, udp_plain_flood(
+            node_a, node_b.primary_address(), 9, duration=10.0,
+            payload_size=52, rate_bps=8000.0, stats=stats,
+        ))
+        sim.schedule(0.25, flood.kill)
+        sim.run(until=0.26)
+        assert isinstance(flood.error, ProcessKilled)
+        assert stats.packets_sent == 3  # t = 0, 0.1, 0.2
+        # The sleep pending at the kill still wakes at t = 0.3; it must
+        # neither resume the dead generator nor send.
+        assert sim.pending_events > 0
+        sim.run()
+        assert stats.packets_sent == 3
+        assert node_a.ip.default_device.tx_packets == 3
+        assert isinstance(flood.error, ProcessKilled)
+
+    @pytest.mark.parametrize("delay", [-1.0, float("nan")])
+    def test_bad_sleep_is_raised_inside_generator(self, sim, delay):
+        def worker():
+            try:
+                yield delay
+            except SimulationError:
+                return "caught"
+
+        assert drive(sim, worker()) == "caught"
+
+    def test_uncaught_bad_sleep_fails_only_the_process(self, sim):
+        def worker():
+            yield -1.0
+
+        process = SimProcess(sim, worker())
+        sim.run()  # the error must not escape the run loop
+        assert isinstance(process.error, SimulationError)
 
 
 class TestCombinators:

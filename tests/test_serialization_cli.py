@@ -271,6 +271,40 @@ class TestCli:
         assert existing.read_text() == "earlier output"
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--devs", "2", "--duration", "5", "--json"],
+        ["recruitment", "--devs", "2", "--no-cache", "--csv"],
+        ["recruitment", "--devs", "2", "--no-cache", "--json"],
+        ["figure2", "--grid", "2", "--csv"],
+        ["figure3", "--grid", "2", "--json"],
+        ["table1", "--grid", "2", "--csv"],
+        ["figure4", "--grid", "2", "--json"],
+        ["faultsweep", "--devs", "2", "--plan", FAULT_PLAN, "--csv"],
+        ["epidemic", "--devs", "3", "--json"],
+    ], ids=["run-json", "recruitment-csv", "recruitment-json", "figure2-csv",
+            "figure3-json", "table1-csv", "figure4-json", "faultsweep-csv",
+            "epidemic-json"])
+    def test_unwritable_output_fails_before_the_run(
+            self, capsys, monkeypatch, tmp_path, argv):
+        from repro.analysis import epidemic
+        from repro.core import experiment
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulation started before the output check")
+
+        monkeypatch.setattr(DDoSim, "run", no_simulation)
+        monkeypatch.setattr(epidemic, "run_propagation_experiment", no_simulation)
+        for sweep in ("run_figure2", "run_figure3", "run_table1", "run_figure4",
+                      "run_fault_sweep", "run_recruitment"):
+            monkeypatch.setattr(experiment, sweep, no_simulation)
+        unwritable = str(tmp_path / "no-such-dir" / "out")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [unwritable])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {unwritable}: No such file or directory\n"
+        assert captured.out == ""
+
     def test_writable_check_keeps_existing_contents(self, tmp_path):
         from repro.cli import _check_writable
 
