@@ -13,8 +13,13 @@ start/stop) every rate in the network is constant, so each queue's
 behaviour has a closed form — aggregate inflow against the link drain
 rate yields a pass fraction, a queue-depth trajectory (fill, saturate,
 drain) and a drop fraction.  The :class:`FlowEngine` re-linearizes only
-at epochs; a 100-second flood that would schedule millions of packet
-events costs a few dozen epoch solves.
+at epochs, and in a fleet every flow's start and stop is one.  The cost
+model: a start or stop re-solves only the queues on its own path (plus
+any queue downstream whose entering rates it changed); a link change
+rebuilds the whole plan; and each epoch integrates the closing segment
+in one pass over the active flows, queue by queue, because the
+per-segment floating-point order is what the pinned output bytes depend
+on.
 
 Accounting is exact in expectation and fully deterministic: queues see
 integer drop counts (``queue_drops_total``, span drop attribution),
@@ -109,7 +114,7 @@ class FluidFlow:
         "started_at", "stopped_at", "active", "hops", "fluid_hops",
         "sink_node", "offered_bytes", "delivered_bytes", "dropped_bytes",
         "inject_rate_bps", "inject_device", "_injecting", "_inject_started",
-        "_seg_latency", "_seg_sink",
+        "_seg_latency", "_seg_sink", "_hop_rates", "_carry",
     )
 
     def __init__(self, flow_id: int, node, src_address: Address, src_port: int,
@@ -143,6 +148,10 @@ class FluidFlow:
         # Captured per-epoch by the solver.
         self._seg_latency = 0.0
         self._seg_sink = None
+        #: rate entering each fluid hop, then the rate leaving the last
+        self._hop_rates: List[float] = []
+        #: bytes handed from hop to hop while a segment integrates
+        self._carry = 0.0
 
     @property
     def offered_packets(self) -> int:
@@ -174,18 +183,37 @@ class _HopSlot:
 
 
 class _GroupPlan:
-    """One queue's solved segment: capacity/loss captured at the epoch
-    (immune to mid-segment mutation order) plus its member flows."""
+    """One queue at one hop position, kept across epochs.
 
-    __slots__ = ("device", "cap_bps", "loss_factor", "max_backlog_bytes",
-                 "members")
+    Capacity and loss are captured when the group is built (immune to
+    mid-segment mutation order; every link mutation rebuilds the plan).
+    ``members`` are the flows through the queue at this position in
+    ``FlowEngine.flows`` order, ``slots`` their :class:`_HopSlot` states —
+    ``None`` until the member's first integrated segment creates it, as
+    ``pending`` records.
+    """
 
-    def __init__(self, device, cap_bps: float, loss_factor: float):
+    __slots__ = ("device", "queue", "channel", "cap_bps", "loss_factor",
+                 "max_backlog_bytes", "members", "slots", "pending")
+
+    def __init__(self, device):
+        channel = device.channel
+        loss = channel.loss_rate if channel is not None else 0.0
         self.device = device
-        self.cap_bps = cap_bps
-        self.loss_factor = loss_factor
+        self.queue = getattr(device, "queue", None)
+        self.channel = channel
+        self.cap_bps = device.data_rate_bps if device.up else 0.0
+        self.loss_factor = 1.0 - loss
         self.max_backlog_bytes = 0.0
         self.members: List[FluidFlow] = []
+        self.slots: List[Optional[_HopSlot]] = []
+        self.pending = False
+
+    def join(self, flow: FluidFlow, slot: Optional[_HopSlot]) -> None:
+        self.members.append(flow)
+        self.slots.append(slot)
+        if slot is None:
+            self.pending = True
 
 
 class FlowEngine:
@@ -195,6 +223,13 @@ class FlowEngine:
     mode schedules *zero* events); state only advances when an epoch —
     :meth:`start_flow`, :meth:`stop_flow`, :meth:`on_link_change`, or a
     final :meth:`flush` — closes the current constant-rate segment.
+
+    The plan persists across epochs: a flow start or stop joins or
+    leaves the groups on its own path and re-solves only those, plus any
+    group whose members' entering rates it changed; a link change
+    rebuilds every group from current link state.  Either way the plan
+    equals a full rebuild bit for bit (same group order, member order
+    and float operations), so incremental solving changes no output.
     """
 
     def __init__(self, sim, mode: str = "all"):
@@ -207,8 +242,9 @@ class FlowEngine:
         self.epochs = 0
         self._flow_ids = itertools.count(1)
         self._seg_start = sim.now
-        #: solved plan: one list of _GroupPlan per hop position
-        self._plan: List[List[_GroupPlan]] = []
+        #: solved plan: per hop position, {device: _GroupPlan} in
+        #: first-member order of ``flows``
+        self._plan: List[Dict[object, _GroupPlan]] = []
         #: per-device per-flow fluid state (insertion-ordered, never sorted)
         self._hop_states: Dict[object, Dict[FluidFlow, _HopSlot]] = {}
         obs = sim.obs
@@ -257,7 +293,7 @@ class FlowEngine:
                 src=str(source), rate_bps=round(flow.rate_bps, 3),
                 size=flow.packet_size, mode=self.mode,
             )
-        self._resolve()
+        self._resolve(self._join(flow))
         return flow
 
     def stop_flow(self, flow: FluidFlow) -> None:
@@ -292,7 +328,7 @@ class FlowEngine:
                 offered=round(flow.offered_bytes, 3),
                 delivered=round(flow.delivered_bytes, 3),
             )
-        self._resolve()
+        self._resolve(self._leave(flow))
 
     def on_link_change(self) -> None:
         """Epoch hook for churn/fault link mutations (device up/down,
@@ -300,7 +336,7 @@ class FlowEngine:
         if not self.flows:
             return
         self.advance()
-        self._resolve()
+        self._resolve(self._rebuild())
 
     #: alias used by fault injection, naming the operation it performs
     relinearize = on_link_change
@@ -370,22 +406,27 @@ class FlowEngine:
 
     def _integrate(self, t0: float, t1: float) -> None:
         dt = t1 - t0
-        if not self.flows:
+        flows = self.flows
+        if not flows:
             return
         # Bytes each flow pushes into its first hop this segment; the
         # cascade below thins the carry hop by hop.
-        carry: Dict[FluidFlow, float] = {}
-        for flow in self.flows:
+        for flow in flows:
             nbytes = flow.rate_bps * dt / 8.0
             flow.offered_bytes += nbytes
-            carry[flow] = nbytes
+            flow._carry = nbytes
         for groups in self._plan:
-            for group in groups:
-                self._integrate_group(group, carry, dt)
+            for group in groups.values():
+                if group.pending:
+                    self._create_slots(group)
+                if len(group.members) == 1:
+                    self._integrate_single(group, dt)
+                else:
+                    self._integrate_group(group, dt)
         if self.mode != "all":
             return
-        for flow in self.flows:
-            nbytes = carry.get(flow, 0.0)
+        for flow in flows:
+            nbytes = flow._carry
             if nbytes <= 0.0:
                 continue
             sink = flow._seg_sink
@@ -397,63 +438,41 @@ class FlowEngine:
             )
             flow.delivered_bytes += delivered
 
-    def _integrate_group(self, group: _GroupPlan,
-                         carry: Dict[FluidFlow, float], dt: float) -> None:
-        device = group.device
-        slots = self._hop_states.setdefault(device, {})
-        demand = 0.0
+    def _integrate_group(self, group: _GroupPlan, dt: float) -> None:
+        members = group.members
+        slots = group.slots
         total_in = 0.0
-        for flow in group.members:
-            slot = slots.get(flow)
-            if slot is None:
-                slot = slots[flow] = _HopSlot()
-            inflow = carry.get(flow, 0.0)
-            demand += inflow
-            total_in += inflow + slot.backlog
+        for flow, slot in zip(members, slots):
+            total_in += flow._carry + slot.backlog
         if total_in <= 0.0:
             return
         if group.cap_bps <= 0.0:
-            # Link down: everything offered (and any stranded backlog)
-            # is lost exactly as the packet path's drops_down accounting.
-            for flow in group.members:
-                slot = slots[flow]
-                lost = carry.get(flow, 0.0) + slot.backlog
-                slot.backlog = 0.0
-                carry[flow] = 0.0
-                if lost <= 0.0:
-                    continue
-                flow.dropped_bytes += lost
-                slot.down_rem += lost / flow.packet_size
-                whole = int(slot.down_rem)
-                if whole:
-                    slot.down_rem -= whole
-                    device.drops_down += whole
+            self._lose_to_down_link(group)
             return
         cap_bytes = group.cap_bps * dt / 8.0
         out_total = min(cap_bytes, total_in)
         leftover = total_in - out_total
         new_backlog_total = min(group.max_backlog_bytes, leftover)
         dropped_total = leftover - new_backlog_total
-        queue = getattr(device, "queue", None)
-        channel = device.channel
+        loss_factor = group.loss_factor
+        queue = group.queue
         tx_packets = 0
         tx_bytes = 0
         carried_packets = 0
         carried_bytes = 0
         lost_packets = 0
-        for flow in group.members:
-            slot = slots[flow]
-            flow_in = carry.get(flow, 0.0) + slot.backlog
+        for flow, slot in zip(members, slots):
+            flow_in = flow._carry + slot.backlog
             if flow_in <= 0.0:
-                carry[flow] = 0.0
+                flow._carry = 0.0
                 continue
             share = flow_in / total_in
             out_flow = out_total * share
             slot.backlog = new_backlog_total * share
             dropped_flow = dropped_total * share
-            passed_flow = out_flow * group.loss_factor
+            passed_flow = out_flow * loss_factor
             lost_flow = out_flow - passed_flow
-            carry[flow] = passed_flow
+            flow._carry = passed_flow
             size = flow.packet_size
             if dropped_flow > 0.0:
                 flow.dropped_bytes += dropped_flow
@@ -477,6 +496,7 @@ class FlowEngine:
                 if whole:
                     slot.loss_rem -= whole
                     lost_packets += whole
+        device = group.device
         if tx_packets:
             device.tx_packets += tx_packets
             device.tx_bytes += tx_bytes
@@ -484,51 +504,190 @@ class FlowEngine:
             carried_bytes = tx_bytes - lost_packets * (
                 tx_bytes // tx_packets if tx_packets else 0
             )
+        channel = group.channel
         if channel is not None and (carried_packets or lost_packets):
             channel.fluid_carry(carried_packets, carried_bytes, lost_packets)
+
+    def _integrate_single(self, group: _GroupPlan, dt: float) -> None:
+        """:meth:`_integrate_group` for a one-member group.  The member's
+        share ``total_in / total_in`` is exactly 1.0, so every share
+        product of the general path returns its other operand: skipping
+        them changes no bit."""
+        flow = group.members[0]
+        slot = group.slots[0]
+        total_in = flow._carry + slot.backlog
+        if total_in <= 0.0:
+            return
+        if group.cap_bps <= 0.0:
+            self._lose_to_down_link(group)
+            return
+        out_flow = min(group.cap_bps * dt / 8.0, total_in)
+        leftover = total_in - out_flow
+        backlog = min(group.max_backlog_bytes, leftover)
+        slot.backlog = backlog
+        dropped_flow = leftover - backlog
+        passed_flow = out_flow * group.loss_factor
+        lost_flow = out_flow - passed_flow
+        flow._carry = passed_flow
+        size = flow.packet_size
+        if dropped_flow > 0.0:
+            flow.dropped_bytes += dropped_flow
+            slot.drop_rem += dropped_flow / size
+            whole = int(slot.drop_rem)
+            queue = group.queue
+            if whole and queue is not None:
+                slot.drop_rem -= whole
+                queue.fluid_drop(whole, size, "overflow_fluid", span=flow.span)
+        tx_packets = 0
+        if out_flow > 0.0:
+            slot.tx_rem += out_flow / size
+            tx_packets = int(slot.tx_rem)
+            if tx_packets:
+                slot.tx_rem -= tx_packets
+        lost_packets = 0
+        if lost_flow > 0.0:
+            flow.dropped_bytes += lost_flow
+            slot.loss_rem += lost_flow / size
+            lost_packets = int(slot.loss_rem)
+            if lost_packets:
+                slot.loss_rem -= lost_packets
+        carried_packets = 0
+        carried_bytes = 0
+        if tx_packets:
+            device = group.device
+            device.tx_packets += tx_packets
+            device.tx_bytes += tx_packets * size
+            carried_packets = tx_packets - lost_packets
+            carried_bytes = carried_packets * size
+        channel = group.channel
+        if channel is not None and (carried_packets or lost_packets):
+            channel.fluid_carry(carried_packets, carried_bytes, lost_packets)
+
+    def _lose_to_down_link(self, group: _GroupPlan) -> None:
+        """Link down: everything offered (and any stranded backlog) is
+        lost exactly as the packet path's drops_down accounting."""
+        device = group.device
+        for flow, slot in zip(group.members, group.slots):
+            lost = flow._carry + slot.backlog
+            slot.backlog = 0.0
+            flow._carry = 0.0
+            if lost <= 0.0:
+                continue
+            flow.dropped_bytes += lost
+            slot.down_rem += lost / flow.packet_size
+            whole = int(slot.down_rem)
+            if whole:
+                slot.down_rem -= whole
+                device.drops_down += whole
+
+    def _create_slots(self, group: _GroupPlan) -> None:
+        """Give members their first :class:`_HopSlot` when the group's
+        first segment integrates, registering them in ``_hop_states``
+        in member order (the order state fingerprints list them in)."""
+        states = self._hop_states.setdefault(group.device, {})
+        slots = group.slots
+        for index, flow in enumerate(group.members):
+            if slots[index] is None:
+                slots[index] = states[flow] = _HopSlot()
+        group.pending = False
 
     # ------------------------------------------------------------------
     # Epoch solve
     # ------------------------------------------------------------------
-    def _resolve(self) -> None:
-        """Capture a new piecewise-constant plan from current link state:
-        per-queue capacity/loss/backlog-cap plus rate-based pass
-        fractions (the injector rates for ``auto`` crossover)."""
-        self.epochs += 1
-        self._epoch_counter.inc()
-        plan: List[List[_GroupPlan]] = []
-        rate: Dict[FluidFlow, float] = {}
-        max_hops = 0
+    def _capture_segment(self, flow: FluidFlow) -> None:
+        """Capture ``flow``'s path latency and sink for the segment."""
+        latency = 0.0
+        for device in flow.fluid_hops:
+            if device.channel is not None:
+                latency += device.channel.delay
+        flow._seg_latency = latency
+        flow._seg_sink = getattr(flow.sink_node, "fluid_sink", None)
+
+    def _enter_groups(self, plan: List[Dict[object, _GroupPlan]],
+                      flow: FluidFlow) -> None:
+        """Append ``flow`` to its group at each hop position of ``plan``
+        with its registered hop slot.  ``flow`` is the newest member of
+        any group it opens, so a new group goes last in first-member
+        order."""
+        self._capture_segment(flow)
+        states = self._hop_states
+        for position, device in enumerate(flow.fluid_hops):
+            if position == len(plan):
+                plan.append({})
+            groups = plan[position]
+            group = groups.get(device)
+            if group is None:
+                group = groups[device] = _GroupPlan(device)
+            slots = states.get(device)
+            group.join(flow, slots.get(flow) if slots else None)
+
+    def _join(self, flow: FluidFlow) -> List[Dict[object, None]]:
+        """Add a new flow to the groups on its path.  Those groups are
+        dirty; returns them as one ``{device: None}`` per position."""
+        hops = flow.fluid_hops
+        flow._hop_rates = [flow.rate_bps] * (len(hops) + 1)
+        self._enter_groups(self._plan, flow)
+        dirty: List[Dict[object, None]] = [{device: None} for device in hops]
+        dirty.extend({} for _ in self._plan[len(hops):])
+        return dirty
+
+    def _leave(self, flow: FluidFlow) -> List[Dict[object, None]]:
+        """Remove a stopped flow from the groups on its path.  Returns
+        the groups it left that still have members, as :meth:`_join`
+        does."""
+        plan = self._plan
+        dirty: List[Dict[object, None]] = [{} for _ in plan]
+        for position, device in enumerate(flow.fluid_hops):
+            groups = plan[position]
+            group = groups[device]
+            index = group.members.index(flow)
+            del group.members[index]
+            del group.slots[index]
+            if not group.members:
+                del groups[device]
+                continue
+            dirty[position][device] = None
+            if index == 0 and len(groups) > 1:
+                # The group's first member changed: restore first-member
+                # order (flow ids grow in ``flows`` order).
+                plan[position] = dict(sorted(
+                    groups.items(), key=lambda item: item[1].members[0].flow_id
+                ))
+        while plan and not plan[-1]:
+            plan.pop()
+            dirty.pop()
+        return dirty
+
+    def _rebuild(self) -> List[Dict[object, None]]:
+        """Rebuild every group from current link state; all are dirty."""
+        plan: List[Dict[object, _GroupPlan]] = []
         for flow in self.flows:
-            rate[flow] = flow.rate_bps
-            if len(flow.fluid_hops) > max_hops:
-                max_hops = len(flow.fluid_hops)
-        for position in range(max_hops):
-            groups: Dict[object, _GroupPlan] = {}
-            for flow in self.flows:
-                if position >= len(flow.fluid_hops):
-                    continue
-                device = flow.fluid_hops[position]
-                group = groups.get(device)
-                if group is None:
-                    channel = device.channel
-                    loss = channel.loss_rate if channel is not None else 0.0
-                    cap = device.data_rate_bps if device.up else 0.0
-                    group = _GroupPlan(device, cap, 1.0 - loss)
-                    groups[device] = group
-                group.members.append(flow)
-            group_list = list(groups.values())
-            for group in group_list:
+            self._enter_groups(plan, flow)
+        self._plan = plan
+        return [dict.fromkeys(groups) for groups in plan]
+
+    def _solve(self, dirty: List[Dict[object, None]]) -> None:
+        """Re-solve the ``dirty`` groups position by position: per-queue
+        backlog cap plus rate-based pass fractions.  A member whose
+        leaving rate changed dirties its group at the next position."""
+        plan = self._plan
+        for position, devices in enumerate(dirty):
+            groups = plan[position]
+            following = position + 1
+            for device in devices:
+                group = groups[device]
+                members = group.members
                 demand = 0.0
                 weighted_size = 0.0
-                for flow in group.members:
-                    demand += rate[flow]
-                    weighted_size += rate[flow] * flow.packet_size
+                for flow in members:
+                    rate = flow._hop_rates[position]
+                    demand += rate
+                    weighted_size += rate * flow.packet_size
                 avg_size = (
                     weighted_size / demand if demand > 0.0
-                    else float(group.members[0].packet_size)
+                    else float(members[0].packet_size)
                 )
-                queue = getattr(group.device, "queue", None)
+                queue = group.queue
                 if queue is not None:
                     max_backlog = queue.max_packets * avg_size
                     if queue.max_bytes is not None:
@@ -543,20 +702,24 @@ class FlowEngine:
                 else:
                     pass_fraction = 1.0
                 pass_fraction *= group.loss_factor
-                for flow in group.members:
-                    rate[flow] *= pass_fraction
-            plan.append(group_list)
-        self._plan = plan
-        for flow in self.flows:
-            latency = 0.0
-            for device in flow.fluid_hops:
-                if device.channel is not None:
-                    latency += device.channel.delay
-            flow._seg_latency = latency
-            flow._seg_sink = getattr(flow.sink_node, "fluid_sink", None)
+                for flow in members:
+                    rates = flow._hop_rates
+                    rate = rates[position] * pass_fraction
+                    if rate != rates[following]:
+                        rates[following] = rate
+                        hops = flow.fluid_hops
+                        if following < len(hops):
+                            dirty[following][hops[following]] = None
+
+    def _resolve(self, dirty: List[Dict[object, None]]) -> None:
+        """Close an epoch: re-solve the ``dirty`` groups and, in ``auto``
+        mode, retune the crossover injectors to the new rates."""
+        self.epochs += 1
+        self._epoch_counter.inc()
+        self._solve(dirty)
         if self.mode == "auto":
             for flow in self.flows:
-                flow.inject_rate_bps = rate[flow]
+                flow.inject_rate_bps = flow._hop_rates[-1]
                 self._ensure_injector(flow)
         if self._tracer.enabled:
             self._tracer.emit(

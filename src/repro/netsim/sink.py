@@ -39,7 +39,9 @@ class PacketSink(Application):
         self.first_packet_time: Optional[float] = None
         self.last_packet_time: Optional[float] = None
         self._spans = NULL_SPANS
-        #: per-FluidFlow quantization state: [byte_remainder, packet_remainder]
+        #: per-FluidFlow state: [byte_remainder, packet_remainder,
+        #: per_source entry, flows record] (the two records are cached at
+        #: the flow's first credit so later credits hash no addresses)
         self._fluid: Dict[object, list] = {}
 
     def _do_start(self) -> None:
@@ -114,7 +116,7 @@ class PacketSink(Application):
             return 0
         state = self._fluid.get(flow)
         if state is None:
-            state = self._fluid[flow] = [0.0, 0.0]
+            state = self._fluid[flow] = [0.0, 0.0, None, None]
         width = self.bin_width
         bins = self.bytes_per_bin
         credited = 0
@@ -154,28 +156,34 @@ class PacketSink(Application):
             self.first_packet_time = start
         if self.last_packet_time is None or end > self.last_packet_time:
             self.last_packet_time = end
-        key = (flow.src_address, flow.src_port)
-        entry = self.per_source.get(key)
+        entry = state[2]
         if entry is None:
-            self.per_source[key] = [packets, credited]
+            # First credit: find or open the records this flow shares
+            # with the packet path (and any flow with the same key).
+            key = (flow.src_address, flow.src_port)
+            entry = self.per_source.get(key)
+            if entry is None:
+                entry = self.per_source[key] = [0, 0]
+            flow_key = (flow.src_address, flow.src_port, flow.dst_port)
+            record = self.flows.get(flow_key)
+            if record is None:
+                record = self.flows[flow_key] = {
+                    "dst": flow.dst_address,
+                    "packets": 0,
+                    "bytes": 0,
+                    "t_first": start,
+                    "t_last": end,
+                    "span": flow.span,
+                }
+            state[2] = entry
+            state[3] = record
         else:
-            entry[0] += packets
-            entry[1] += credited
-        flow_key = (flow.src_address, flow.src_port, flow.dst_port)
-        record = self.flows.get(flow_key)
-        if record is None:
-            self.flows[flow_key] = {
-                "dst": flow.dst_address,
-                "packets": packets,
-                "bytes": credited,
-                "t_first": start,
-                "t_last": end,
-                "span": flow.span,
-            }
-        else:
-            record["packets"] += packets
-            record["bytes"] += credited
-            record["t_last"] = end
+            record = state[3]
+        entry[0] += packets
+        entry[1] += credited
+        record["packets"] += packets
+        record["bytes"] += credited
+        record["t_last"] = end
         if flow.span is not None:
             self._spans.deliver(flow.span, packets, credited)
         return credited
@@ -260,7 +268,8 @@ class PacketSink(Application):
         }
 
     def reset(self) -> None:
-        """Clear all counters (used between experiment phases)."""
+        """Clear all counters (used between experiment phases).  Clearing
+        ``_fluid`` drops the cached records with the dicts they live in."""
         self.total_packets = 0
         self.total_bytes = 0
         self.bytes_per_bin.clear()

@@ -7,8 +7,10 @@ off`` keeps the packet datapath bit-identical to the seed.
 """
 
 import json
+import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core import DDoSim, SimulationConfig
 from repro.netsim.flows import (
@@ -20,6 +22,7 @@ from repro.netsim.flows import (
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
 from repro.netsim.sink import PacketSink
+from repro.netsim.tiered import TieredInternet
 from repro.netsim.topology import StarInternet
 from repro.serialization import result_to_json
 
@@ -186,6 +189,188 @@ class TestFluidSolver:
         assert sum(sink.bytes_per_bin.values()) == sink.total_bytes
         assert sink.total_bytes == pytest.approx(flow.offered_bytes, abs=2.0)
         assert all(isinstance(v, int) for v in sink.bytes_per_bin.values())
+
+
+def _plan_view(engine):
+    """Everything the solved plan decides, floats as exact hex strings:
+    per hop position the groups in order, each with its device, member
+    flow ids, capacity, loss factor, backlog cap and the rate each
+    member enters with; then every flow's leaving and injector rate."""
+    view = []
+    for position, groups in enumerate(engine._plan):
+        row = []
+        for device, group in groups.items():
+            states = engine._hop_states.get(device, {})
+            # A group's slots are the engine's registered per-hop state.
+            assert group.slots == [states.get(flow) for flow in group.members]
+            row.append([
+                device.name,
+                [flow.flow_id for flow in group.members],
+                group.cap_bps.hex(),
+                group.loss_factor.hex(),
+                group.max_backlog_bytes.hex(),
+                [flow._hop_rates[position].hex() for flow in group.members],
+            ])
+        view.append(row)
+    view.append([
+        [flow.flow_id, flow._hop_rates[-1].hex(), flow.inject_rate_bps.hex()]
+        for flow in engine.flows
+    ])
+    return view
+
+
+#: one fuzzed step: (operation, operands), then seconds to run after it
+_STEP = st.tuples(
+    st.one_of(
+        st.tuples(st.just("start"), st.integers(0, 2), st.integers(0, 1),
+                  st.sampled_from([300e3, 700e3, 1.4e6]),
+                  st.sampled_from([WIRE, 300])),
+        st.tuples(st.just("stop"), st.integers(0, 7)),
+        st.tuples(st.just("down"), st.integers(0, 4)),
+        st.tuples(st.just("up"), st.integers(0, 4)),
+        st.tuples(st.just("rate"), st.integers(0, 4),
+                  st.sampled_from([None, 200e3, 900e3])),
+        st.tuples(st.just("loss"), st.integers(0, 4),
+                  st.sampled_from([None, 0.05, 0.3])),
+    ),
+    st.sampled_from([0.0, 0.05, 0.4]),
+)
+
+#: two flows from one node to two receivers, with a third node's flow
+#: keeping the first receiver's bottleneck group alive; the node's first
+#: flow stops, which re-solves the shared access group and changes the
+#: rate its other flow enters the second receiver's group with
+_FIRST_MEMBER_STOPS = [
+    (("start", 0, 0, 700e3, WIRE), 0.05),
+    (("start", 1, 0, 1.4e6, 300), 0.05),
+    (("start", 0, 1, 1.4e6, WIRE), 0.4),
+    (("stop", 0), 0.4),
+    (("stop", 1), 0.05),
+]
+
+
+class TestIncrementalResolve:
+    """A flow start or stop re-solves only its own path (plus groups
+    whose entering rates it changed); the plan it leaves must equal a
+    full rebuild of the same engine bit for bit."""
+
+    @staticmethod
+    def _apply(engine, star, nodes, receivers, op):
+        kind = op[0]
+        links = [star.links[node] for node in nodes + receivers]
+        if kind == "start":
+            _kind, node, receiver, rate, size = op
+            engine.start_flow(nodes[node], star.address_of(receivers[receiver]),
+                              7777,
+                              1000 + len(engine.flows) + len(engine.finished),
+                              rate_bps=rate, payload_size=size - 48,
+                              packet_size=size)
+        elif kind == "stop":
+            if engine.flows:
+                engine.stop_flow(engine.flows[op[1] % len(engine.flows)])
+        elif kind in ("down", "up"):
+            links[op[1]].set_up(kind == "up")
+        elif kind == "rate":
+            # A receiver's entry degrades its shared bottleneck device.
+            link = links[op[1]]
+            device = (link.router_device if op[1] >= len(nodes)
+                      else link.host_device)
+            if op[2] is None:
+                device.clear_data_rate_override()
+            else:
+                device.override_data_rate(op[2])
+        else:
+            channel = links[op[1]].host_device.channel
+            if op[2] is None:
+                channel.clear_overrides()
+            else:
+                channel.override_parameters(loss_rate=op[2],
+                                            rng=random.Random(7))
+
+    @pytest.mark.parametrize("topology", ["star", "tiered"])
+    @pytest.mark.parametrize("mode", ["all", "auto"])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=st.lists(_STEP, min_size=1, max_size=20))
+    @example(steps=_FIRST_MEMBER_STOPS)
+    def test_plan_equals_full_rebuild(self, topology, mode, steps):
+        # Tiered paths run access -> home uplink -> a shared 1.2 Mbps ISP
+        # uplink -> core, so a rate change can travel two hops downstream.
+        sim = Simulator()
+        star = (StarInternet(sim) if topology == "star"
+                else TieredInternet(sim, n_isps=2, isp_uplink_bps=1.2e6))
+        nodes = [Node(sim, f"dev{index}") for index in range(3)]
+        receivers = [Node(sim, f"receiver{index}") for index in range(2)]
+        for node in nodes:
+            star.attach_host(node, 1e6, delay=0.001)
+        for receiver in receivers:
+            star.attach_host(receiver, 100e6, delay=0.001,
+                             downlink_rate_bps=1.5e6, queue_packets=10)
+            PacketSink(receiver).start()
+        engine = FlowEngine(sim, mode=mode)
+        for op, gap in steps:
+            self._apply(engine, star, nodes, receivers, op)
+            if gap:
+                sim.run(until=sim.now + gap)
+            incremental = _plan_view(engine)
+            state = json.dumps(engine.checkpoint_state(), sort_keys=True)
+            engine._solve(engine._rebuild())
+            assert _plan_view(engine) == incremental
+            assert json.dumps(engine.checkpoint_state(),
+                              sort_keys=True) == state
+            if mode == "all":
+                assert all(flow.inject_rate_bps == 0.0
+                           for flow in engine.flows)
+
+
+class TestSinkFluidCache:
+    """``account_fluid`` caches a flow's ``per_source`` entry and NetFlow
+    record at its first credit; ``reset()`` must drop that cache."""
+
+    def _flow(self, sim, star, sender, receiver, src_port=7777):
+        engine = sim.flows or FlowEngine(sim, mode="all")
+        return engine.start_flow(sender, star.address_of(receiver), 9,
+                                 src_port, rate_bps=1e6, payload_size=512,
+                                 packet_size=WIRE)
+
+    def test_reset_opens_fresh_records(self):
+        sim, star, sender, receiver, sink = _star()
+        flow = self._flow(sim, star, sender, receiver)
+        sim.run(until=2.0)
+        sim.flows.flush()
+        key = (flow.src_address, flow.src_port)
+        stale_entry = sink.per_source[key]
+        stale_record = sink.flows[key + (flow.dst_port,)]
+        frozen = (list(stale_entry), dict(stale_record))
+        sink.reset()
+        sim.run(until=4.0)
+        sim.flows.flush()
+        assert (list(stale_entry), dict(stale_record)) == frozen
+        entry = sink.per_source[key]
+        record = sink.flows[key + (flow.dst_port,)]
+        assert entry is not stale_entry and record is not stale_record
+        assert entry[1] == sink.total_bytes > 0
+        assert record["bytes"] == sink.total_bytes
+        assert record["t_first"] >= 2.0
+
+    def test_packet_and_fluid_share_per_source_entry(self):
+        from repro.netsim.headers import UdpHeader, ip_header_for
+        from repro.netsim.packet import Packet
+
+        sim, star, sender, receiver, sink = _star()
+        flow = self._flow(sim, star, sender, receiver)
+        packet = Packet(None, 512)
+        packet.add_header(UdpHeader(flow.src_port, flow.dst_port))
+        packet.add_header(ip_header_for(flow.src_address, flow.dst_address,
+                                        17, 64))
+        star.links[sender].host_device.send(packet)
+        sim.run(until=2.0)
+        sim.flows.flush()
+        assert len(sink.per_source) == 1
+        assert len(sink.flows) == 1
+        (packets, nbytes), = sink.per_source.values()
+        assert nbytes == sink.total_bytes
+        assert packets == sink.total_packets
 
 
 class TestCrossoverModes:

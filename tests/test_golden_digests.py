@@ -10,6 +10,16 @@ The grid covers the three flood datapaths (packet, ``--flow auto``,
 ``--flow all``) at two device counts, plus one dynamic-churn cell and
 one fault-plan cell, so the churn and fault-injector schedules are
 under the gate as well as the plain packet path.
+
+The ``fault-plan`` cell pins no flood at all: the attack order goes out
+at ~43.4 s, inside the ``cnc_outage`` (30-50 s) of
+``examples/fault_plan.json``, when the C&C holds no bot session, so it
+commands 0 bots (on every datapath, at 4 and 8 Devs).  The two
+``link-faults`` cells cover the fluid solver under faults instead:
+``link_fault_plan.json`` flaps Dev access links and degrades the TServer
+link with 5% loss while the flood runs: two Devs start flooding late
+behind downed links, every flow stops while the TServer link is lossy,
+and every link change rebuilds the plan mid-flood.
 """
 
 import hashlib
@@ -23,10 +33,11 @@ from repro.core.framework import DDoSim
 from repro.faults import load_fault_plan
 from repro.serialization import result_to_json
 
-FAULT_PLAN = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "examples", "fault_plan.json",
+EXAMPLES = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples"
 )
+FAULT_PLAN = os.path.join(EXAMPLES, "fault_plan.json")
+LINK_FAULT_PLAN = os.path.join(EXAMPLES, "link_fault_plan.json")
 
 
 def _sha256(text: str) -> str:
@@ -50,6 +61,12 @@ def cell_config(cell: str) -> SimulationConfig:
     if cell == "fault-plan":
         return SimulationConfig(n_devs=4, faults=load_fault_plan(FAULT_PLAN),
                                 **base)
+    if cell.startswith("link-faults-"):
+        return SimulationConfig(
+            n_devs=8, seed=1, attack_duration=60.0,
+            flood_flow=cell.rsplit("-", 1)[1],
+            faults=load_fault_plan(LINK_FAULT_PLAN),
+        )
     flow, devs = cell.split("-")
     return SimulationConfig(n_devs=int(devs), flood_flow=flow, **base)
 
@@ -88,6 +105,14 @@ GOLDEN = {
         "2c90edd43d8df146e17c352f0b2148f91d425b455d3b15f2b745fd222873e092",
         "95e126ba8a569c72b82552955cdd115172358a27b581a58fea17cf388be2d0a8",
     ),
+    "link-faults-all": (
+        "4c86e7011fed782f26132b1153157464e30e1c3b2cece52700abedc872df8756",
+        "cf0dc661ddef0d9c66e00348a9d34a3c02341a3dd5829071c13964c841df673c",
+    ),
+    "link-faults-auto": (
+        "cbb592c694855c98ea8bd2f95feb3b87b7eec04d488fb2669152c85f7b33cc0e",
+        "190ef3903a88d029921387dda7f2305af52257100a4c946975c953e646aafd48",
+    ),
 }
 
 
@@ -106,3 +131,15 @@ def test_churn_and_fault_cells_exercise_their_hooks():
     faulted = DDoSim(cell_config("fault-plan"))
     faulted.run()
     assert faulted.fault_injector.log
+
+
+@pytest.mark.parametrize("mode", ["all", "auto"])
+def test_link_fault_cells_hit_down_and_loss_branches(mode):
+    """The link-fault cells must flood through a downed link and a
+    lossy channel, or their digests would not pin those solver paths."""
+    ddosim = DDoSim(cell_config(f"link-faults-{mode}"))
+    result = ddosim.run()
+    assert result.recruitment.bots_at_attack == 8
+    links = ddosim.star.links.values()
+    assert sum(link.host_device.drops_down for link in links) > 0
+    assert sum(link.channel.packets_lost for link in links) > 0
